@@ -171,53 +171,44 @@ _EMPTY_ROW = (graded_lex_key(()), (0, ()))
 
 
 def _search_box(J, hb, cb, n_vars):
-    """Exact solve of V*J = I and J*V = I with V confined to the box."""
+    """Exact solve of V*J = I and J*V = I with V confined to the box.
+
+    The unknown (a, b, w, m) is the coefficient of m * h_w in V[a][b].  Its
+    column holds m * (h_w * J[b][k]) at the rows ("L", a, k, word, mono)
+    and (J[i][a] * m) * h_w at the rows ("R", i, b, word, mono).
+    """
     n = J.n
     words = depend.words_up_to(n_vars, hb)
     monos = depend.monomials_up_to(n_vars, cb)
-    base_left = {}
-    for b in range(n):
-        for k in range(n):
-            for w in words:
-                base_left[(b, k, w)] = env_mul(Env({w: Poly.one()}), J.entries[b][k])
-    base_right = {}
-    for i in range(n):
-        for a in range(n):
-            for m in monos:
-                base_right[(i, a, m)] = env_mul(
-                    J.entries[i][a], Env.from_poly(Poly({m: 1}))
-                )
+    columns = depend.ColumnBuilder()
+    base_left = {
+        (b, k, w): env_mul(Env({w: Poly.one()}), J.entries[b][k])
+        for b in range(n)
+        for k in range(n)
+        for w in words
+    }
+    base_right = {
+        (i, a, m): env_mul(J.entries[i][a], Env.from_poly(Poly({m: 1})))
+        for i in range(n)
+        for a in range(n)
+        for m in monos
+    }
 
     solver = SparseSolver()
     for a in range(n):
         for b in range(n):
             for w in words:
+                left = [
+                    e
+                    for k in range(n)
+                    for e in columns.flatten(base_left[(b, k, w)], ("L", a, k))
+                ]
                 for m in monos:
-                    mono_poly = Poly({m: 1})
-                    vec = {}
-                    for k in range(n):
-                        u = base_left[(b, k, w)].map_coeffs(lambda p: mono_poly * p)
-                        for hw, q in u.terms.items():
-                            wk = graded_lex_key(hw)
-                            for mm, c in q.terms.items():
-                                key = ("L", a, k, wk, (poisson.mono_deg(mm), mm))
-                                s = vec.get(key, 0) + c
-                                if s:
-                                    vec[key] = s
-                                else:
-                                    vec.pop(key, None)
+                    col = columns.shift(left, m)
                     for i in range(n):
-                        u = base_right[(i, a, m)]
-                        for hw, q in u.terms.items():
-                            wk = graded_lex_key(hw + w)
-                            for mm, c in q.terms.items():
-                                key = ("R", i, b, wk, (poisson.mono_deg(mm), mm))
-                                s = vec.get(key, 0) + c
-                                if s:
-                                    vec[key] = s
-                                else:
-                                    vec.pop(key, None)
-                    solver.add((a, b, w, m), vec)
+                        right = columns.flatten(base_right[(i, a, m)], ("R", i, b), w)
+                        columns.shift(right, (), col)
+                    solver.add((a, b, w, m), col)
 
     rhs = {}
     for i in range(n):

@@ -5,6 +5,7 @@ suite, 3 undecided (step budget or bounded search exhausted).
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -52,6 +53,11 @@ def _cmd_fox(args):
     return _emit(args, calculus.fox(p, args.index))
 
 
+def _check_bounds(args):
+    if args.hdeg_bound < 0 or args.coeff_bound < 0:
+        raise DomainError("--hdeg-bound and --coeff-bound must be nonnegative")
+
+
 def _matrix_out(args, mat):
     if args.format == "json":
         rows = [[syntax.to_json(e) for e in row] for row in mat.entries]
@@ -70,6 +76,7 @@ def _cmd_jacobian(args):
     jac = calculus.jacobian(psi)
     if not args.invert:
         return _matrix_out(args, jac)
+    _check_bounds(args)
     res = calculus.invert_jacobian_bounded(jac, args.hdeg_bound, args.coeff_bound)
     if res.status != "invertible":
         print(
@@ -84,6 +91,7 @@ def _cmd_jacobian(args):
 def _cmd_depend(args):
     elems = [parse_element(s, args.n, "env") for s in args.elements]
     if args.oracle:
+        _check_bounds(args)
         witness = brute_force_dependence(
             elems, args.hdeg_bound, args.coeff_bound, n=args.n
         )
@@ -112,6 +120,8 @@ def _cmd_depend(args):
 def _cmd_pair_status(args):
     f = parse_element(args.f, args.n, "poisson")
     g = parse_element(args.g, args.n, "poisson")
+    if f.is_zero() or g.is_zero():
+        raise DomainError("pair-status requires nonzero f and g")
     ps = calculus.pair_status(f, g, max_steps=args.max_steps)
     obj = {"status": ps.status}
     if ps.status == "dependent":
@@ -240,10 +250,54 @@ def _build_parser():
     return top
 
 
+def _is_option(tok, takes_value):
+    """True iff tok is an option of the subcommand (and not an expression)."""
+    if tok.startswith("--"):
+        return True
+    return tok in takes_value or takes_value.get(tok[:2], False)
+
+
+def _expressions_last(parser, argv):
+    """argv with the subcommand's positional arguments moved after "--".
+
+    argparse takes an argument such as "-1/2*x1" or "-h(x1)" for an
+    unknown option.  An argument of a subcommand that starts with a
+    single "-" and is not one of its options is an expression; when one
+    occurs before any "--", the options are put first and every
+    positional argument, in order, after "--".  Other argument lists are
+    returned unchanged.
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cmd = sub.choices.get(argv[0]) if argv else None
+    if cmd is None:
+        return argv
+    takes_value = {s: a.nargs != 0 for a in cmd._actions for s in a.option_strings}
+    long_opts = [s for s in takes_value if s.startswith("--")]
+    options, positionals, dashed = [], [], False
+    rest = iter(argv[1:])
+    for tok in rest:
+        if tok == "--":
+            positionals.extend(rest)
+        elif _is_option(tok, takes_value):
+            options.append(tok)
+            name = tok
+            if tok.startswith("--") and tok not in takes_value:
+                prefixed = [s for s in long_opts if s.startswith(tok)]
+                name = prefixed[0] if len(prefixed) == 1 else tok
+            if takes_value.get(name) and "=" not in tok:
+                options.extend(itertools.islice(rest, 1))
+        else:
+            dashed = dashed or tok.startswith("-")
+            positionals.append(tok)
+    if not dashed:
+        return argv
+    return [argv[0]] + options + ["--"] + positionals
+
+
 def run(argv):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_expressions_last(parser, argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

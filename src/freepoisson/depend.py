@@ -233,13 +233,43 @@ def _infer_n(elements):
     return n
 
 
-def _vectorize(u):
-    vec = {}
-    for w, p in u.terms.items():
-        wk = graded_lex_key(w)
-        for m, c in p.terms.items():
-            vec[(wk, (poisson.mono_deg(m), m))] = c
-    return vec
+class ColumnBuilder:
+    """Columns m * u of a bounded search, built by shifting monomial keys.
+
+    An element u is flattened once into entries (row-key prefix, monomial
+    m2, deg m2, coefficient); the column of m * u is then the same
+    coefficients at the keys prefix + ((deg m + deg m2, m * m2),).
+    Multiplying by a fixed monomial is injective on monomials, so no two
+    entries of one flattened element land on the same key.  The products
+    m * m2 are memoized for the lifetime of the builder, which is one
+    search.
+    """
+
+    def __init__(self):
+        self._products = {}
+
+    @staticmethod
+    def flatten(u, prefix=(), suffix=()):
+        """Entries of u; the h-word w gives the key part graded_lex_key(w + suffix)."""
+        out = []
+        for w, p in u.terms.items():
+            pre = prefix + (graded_lex_key(w + suffix),)
+            for m2, c in p.terms.items():
+                out.append((pre, m2, poisson.mono_deg(m2), c))
+        return out
+
+    def shift(self, entries, m, col=None):
+        """col (a new dict by default) with the entries of m * (flattened) added."""
+        if col is None:
+            col = {}
+        dm = poisson.mono_deg(m)
+        products = self._products.setdefault(m, {})
+        for pre, m2, d2, c in entries:
+            mm = products.get(m2)
+            if mm is None:
+                mm = products[m2] = poisson.mono_mul(m, m2)
+            col[pre + ((dm + d2, mm),)] = c
+        return col
 
 
 def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
@@ -250,6 +280,10 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     coeff_deg_bound.  Exact rational elimination over that span either
     produces a witness (always verified) or refutes dependence within
     the bounds.
+
+    Each h_w * s_r is computed once; the columns m * h_w * s_r for all
+    monomials m are then made by shifting its monomial keys
+    (ColumnBuilder), with row keys (graded_lex_key(word), (deg, mono)).
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -264,13 +298,13 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
 
     words = words_up_to(n, hdeg_bound)
     monos = monomials_up_to(n, coeff_deg_bound)
+    columns = ColumnBuilder()
     solver = SparseSolver()
     for r, s in enumerate(elements):
         for w in words:
-            base = env_mul(Env({w: Poly.one()}), s)
+            base = columns.flatten(env_mul(Env({w: Poly.one()}), s))
             for m in monos:
-                col = base.map_coeffs(lambda p: Poly({m: 1}) * p)
-                kernel = solver.add((r, w, m), _vectorize(col))
+                kernel = solver.add((r, w, m), columns.shift(base, m))
                 if kernel is not None:
                     witness = [Env.zero() for _ in elements]
                     for (r_, w_, m_), c in kernel.items():

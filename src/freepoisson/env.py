@@ -151,9 +151,6 @@ class Env:
             out.setdefault(k, {})[w] = p
         return {k: Env(t) for k, t in out.items()}
 
-    def map_coeffs(self, f):
-        return Env({w: f(p) for w, p in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "Env(0)"

@@ -184,16 +184,21 @@ def _basis_bracket(u, v):
     if hit is not None:
         return hit
     _BRACKET_CACHE[key] = _IN_PROGRESS
-    w = u + v
-    if standard_factorization(w) == (u, v):
-        out = {w: Fraction(1)}
-    else:
-        u1, u2 = standard_factorization(u)
-        out = {}
-        for z, c in _basis_bracket(u2, v).items():
-            _accumulate(out, {z2: c * c2 for z2, c2 in _basis_bracket(u1, z).items()})
-        for z, c in _basis_bracket(u1, v).items():
-            _accumulate(out, {z2: c * c2 for z2, c2 in _basis_bracket(u2, z).items()}, sign=-1)
+    try:
+        w = u + v
+        if standard_factorization(w) == (u, v):
+            out = {w: Fraction(1)}
+        else:
+            u1, u2 = standard_factorization(u)
+            out = {}
+            for z, c in _basis_bracket(u2, v).items():
+                _accumulate(out, {z2: c * c2 for z2, c2 in _basis_bracket(u1, z).items()})
+            for z, c in _basis_bracket(u1, v).items():
+                _accumulate(out, {z2: c * c2 for z2, c2 in _basis_bracket(u2, z).items()}, sign=-1)
+    except BaseException:
+        # an interrupted rewrite must not leave its marker behind
+        del _BRACKET_CACHE[key]
+        raise
     _BRACKET_CACHE[key] = out
     return out
 

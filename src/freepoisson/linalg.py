@@ -6,6 +6,15 @@ against the current pivots at its largest row key.  A column that
 reduces to zero yields the combination of previously added columns that
 produced it, which is exactly the kernel/solution certificate the
 callers need.
+
+Pivots are stored unnormalized: a column that survives reduction is
+kept as it is, together with its combination, and each reduction step
+scales by vec[k] / pivot[k] instead.  Subtracting
+(vec[k] / pivot[k]) * pivot is exactly the same rational vector as
+subtracting vec[k] * (pivot / pivot[k]), so every reduced column, and
+with it every kernel and every solution, is the same as with unit
+pivots; only the stored pivots differ by a scalar, and no division runs
+over the entries of a new pivot.
 """
 
 from fractions import Fraction
@@ -21,9 +30,13 @@ def _axpy(vec, f, other):
             vec.pop(k, None)
 
 
+def _exact(vec):
+    return {k: c if isinstance(c, Fraction) else Fraction(c) for k, c in vec.items() if c}
+
+
 class SparseSolver:
     def __init__(self):
-        self.pivots = {}  # row key -> (unit column, combo over column ids)
+        self.pivots = {}  # row key -> (column with that lead, combo over column ids)
 
     def _reduce(self, vec, combo):
         while vec:
@@ -32,7 +45,7 @@ class SparseSolver:
             if piv is None:
                 return k
             pvec, pcombo = piv
-            f = vec[k]
+            f = vec[k] / pvec[k]
             _axpy(vec, f, pvec)
             _axpy(combo, f, pcombo)
         return None
@@ -44,14 +57,11 @@ class SparseSolver:
         otherwise returns {column id: coefficient} with
         sum(coeff * column) = 0, including this column with coefficient 1.
         """
-        vec = {k: Fraction(c) for k, c in vec.items() if c}
+        vec = _exact(vec)
         combo = {col_id: Fraction(1)}
         k = self._reduce(vec, combo)
         if k is None:
             return combo
-        lead = vec[k]
-        vec = {r: c / lead for r, c in vec.items()}
-        combo = {c: v / lead for c, v in combo.items()}
         self.pivots[k] = (vec, combo)
         return None
 
@@ -61,7 +71,7 @@ class SparseSolver:
         Returns {column id: coefficient} with sum(coeff * column) = rhs,
         or None if rhs is outside the registered column span.
         """
-        vec = {k: Fraction(c) for k, c in rhs.items() if c}
+        vec = _exact(rhs)
         combo = {}
         if self._reduce(vec, combo) is not None:
             return None

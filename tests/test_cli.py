@@ -142,6 +142,31 @@ def test_exit_codes():
     assert cap(["frobnicate", "-n", "2", "x1"])[0] == 2
 
 
+def test_out_of_range_inputs_are_domain_errors():
+    for argv in (
+        ["depend", "-n", "2", "--oracle", "--hdeg-bound", "-1", "h(x1)"],
+        ["jacobian", "-n", "2", "--invert", "--hdeg-bound", "-1", "x1", "x2+x1*[x1,x2]"],
+        ["pair-status", "-n", "2", "0", "x1"],
+    ):
+        code, out, err = cap(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("domain error:") and "Traceback" not in err, argv
+
+
+def test_expressions_starting_with_minus():
+    want = cap(["weyl-mul", "-n", "2", "--", "1/2*y1", "-1/2*x1*x2*y2"])
+    assert want[0] == 0 and want[1]
+    assert cap(["weyl-mul", "-n", "2", "1/2*y1", "-1/2*x1*x2*y2"]) == want
+    assert cap(["bracket", "-n", "2", "-x1"]) == (0, "-1*x1\n", "")
+    assert cap(["depend", "-n", "1", "-h(x1)", "x1*h(x1)"]) == cap(
+        ["depend", "-n", "1", "--", "-h(x1)", "x1*h(x1)"]
+    )
+    # options keep their values, wherever they stand
+    assert cap(["fox", "-x1*x2", "-n", "2", "2"]) == (0, "-1*x1\n", "")
+    assert cap(["jacobian", "-n2", "x1", "-x2", "--invert"]) == (0, "[1, 0]\n[0, -1]\n", "")
+    assert cap(["bracket", "-n", "2", "-h"])[0] == 0  # -h alone is still help
+
+
 def test_check_command():
     code, out, err = cap(["check", "-n", "2", "graded-top"])
     assert code == 0

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from freepoisson.core import graded_lex_key
 from freepoisson.depend import (
+    ColumnBuilder,
     StepBudgetExceeded,
     brute_force_dependence,
     composition,
@@ -175,6 +177,36 @@ def test_brute_force_dependence():
     assert verify_witness(w, [H1, Env({(1,): X1})])
     assert brute_force_dependence([H1, H2], 2, 2, n=2) is None
     assert brute_force_dependence([Env.from_poly(X1), Env.from_poly(X2)], 0, 1, n=2) is not None
+
+
+def shifted_by_products(u, m):
+    """Column of m * u through full Poly products, vectorized term by term."""
+    vec = {}
+    for w, p in u.terms.items():
+        for mm, c in (Poly({m: 1}) * p).terms.items():
+            vec[(graded_lex_key(w), (mono_deg(mm), mm))] = c
+    return vec
+
+
+def test_column_builder_matches_products():
+    rng = random.Random(31)
+    monos = monomials_up_to(2, 4)
+    builder = ColumnBuilder()
+    for _ in range(40):
+        u = rand_env_nonzero(rng, 2, 3, 3, terms=rng.randint(1, 4))
+        flat = builder.flatten(u)
+        for m in rng.sample(monos, 6):
+            assert builder.shift(flat, m) == shifted_by_products(u, m)
+    # prefixes and word suffixes land in the keys, entries add to a given column
+    u = rand_env_nonzero(rng, 2, 2, 2, terms=3)
+    m = monos[-1]
+    col = builder.shift(builder.flatten(u, ("L", 1), (2, 1)), m, {"kept": 1})
+    want = {
+        ("L", 1, graded_lex_key(w + (2, 1)), (mono_deg(mm), mm)): c
+        for w, p in u.terms.items()
+        for mm, c in (Poly({m: 1}) * p).terms.items()
+    }
+    assert col == {"kept": 1, **want}
 
 
 def test_corpus_loads():

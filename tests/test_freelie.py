@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from sympy import divisors, mobius
 
+from freepoisson import freelie
 from freepoisson.core import graded_lex_key
 from freepoisson.freelie import (
     Lie,
@@ -185,3 +186,25 @@ def test_lie_from_associative_rejects_non_lie_input():
     with pytest.raises(ValueError):
         lie_from_associative({(1, 1): Fraction(1)})
     assert lie_from_associative({}) == 0
+
+
+def test_interrupted_rewrite_leaves_the_cache_usable(monkeypatch):
+    # (x1x2, x3) is not a standard factorization, so the rewrite recurses
+    # through the Jacobi identity and accumulates; interrupt it once there
+    monkeypatch.setattr(freelie, "_BRACKET_CACHE", {})
+    real = freelie._accumulate
+    failed = []
+
+    def flaky(*args, **kwargs):
+        if not failed:
+            failed.append(True)
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(freelie, "_accumulate", flaky)
+    a, b = Lie({(1, 2): 1}), Lie({(3,): 1})
+    with pytest.raises(KeyboardInterrupt):
+        lie_bracket(a, b)
+    assert failed
+    assert lie_bracket(a, b) == lie_bracket_oracle(a, b)
+    assert lie_bracket(b, a) == lie_bracket_oracle(b, a)
