@@ -38,6 +38,7 @@ from .symplectic import (
     symmetrize,
     theta_left,
     theta_right,
+    weyl_mul,
 )
 from .syntax import DomainError
 
@@ -293,13 +294,32 @@ def check_weyl_embedding(seed=909):
     )
 
 
+def symmetrize_by_permutations(f):
+    """The average of all letter orderings of each monomial, multiplied
+    out in the Weyl algebra: the reference for `symmetrize`."""
+    n = f.n
+    gens = [Weyl.X(n, i) for i in range(1, n + 1)] + [Weyl.Y(n, i) for i in range(1, n + 1)]
+    out = Weyl.zero(n)
+    for e, c in f.terms.items():
+        perms = set(itertools.permutations([var for var, k in enumerate(e) for _ in range(k)]))
+        for perm in perms:
+            prod = Weyl.one(n)
+            for var in perm:
+                prod = weyl_mul(prod, gens[var])
+            out = out + c / len(perms) * prod
+    return out
+
+
 def check_symmetrization(seed=1010):
     rng = random.Random(seed)
     failures = []
     for t in range(200):
         n = rng.randint(1, 2)
         f = sampling.rand_spoly(rng, n, 4, terms=rng.randint(1, 3))
-        if rho_w(f) != theta_left(symmetrize(f)):
+        w = symmetrize(f)
+        if w != symmetrize_by_permutations(f):
+            failures.append(f"closed form against the permutation average at element {t}")
+        if rho_w(f) != theta_left(w):
             failures.append(f"factorization at element {t}")
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     expected = PnEnv(

@@ -174,11 +174,12 @@ def _cmd_check(args):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--format", choices=("text", "json"), default="text")
+    base.add_argument("--seed", type=int, default=None)
+    base.add_argument("--max-steps", type=int, default=100_000)
+    common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("-n", type=int, required=True, help="number of x-variables")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--max-steps", type=int, default=100_000)
 
     top = argparse.ArgumentParser(prog="fpa", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -243,7 +244,8 @@ def _build_parser():
     p.add_argument("rhs")
     p.set_defaults(func=_cmd_weyl_mul)
 
-    p = sub.add_parser("check", parents=[common], help="run property suites")
+    p = sub.add_parser("check", parents=[base], help="run property suites")
+    p.add_argument("-n", type=int, help="ignored: each suite draws its own n")
     p.add_argument("suites", nargs="*")
     p.set_defaults(func=_cmd_check)
 

@@ -8,7 +8,10 @@ tuple of (word, exponent) pairs sorted by the basis order (degree, then
 lex on the word).
 """
 
+import heapq
+import math
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 from . import freelie
 from .core import graded_lex_key
@@ -57,20 +60,6 @@ def mono_divides(m1, m2):
     """True iff m1 divides m2 factor-wise."""
     d2 = dict(m2)
     return all(d2.get(w, 0) >= e for w, e in m1)
-
-
-def mono_quotient(m2, m1):
-    """The monomial m2 / m1; requires divisibility."""
-    d2 = dict(m2)
-    for w, e in m1:
-        r = d2.get(w, 0) - e
-        if r < 0:
-            raise ValueError("monomials do not divide")
-        if r == 0:
-            d2.pop(w, None)
-        else:
-            d2[w] = r
-    return tuple(sorted(d2.items(), key=lambda t: _basis_key(t[0])))
 
 
 def mono_cmp(a, b):
@@ -255,14 +244,6 @@ class Poly:
                 out.add(w)
         return out
 
-    def multideg_components(self, n):
-        """Split into multihomogeneous components keyed by multidegree."""
-        out = {}
-        for m, c in self.terms.items():
-            d = mono_multideg(m, n)
-            out.setdefault(d, {})[m] = c
-        return {d: Poly(t) for d, t in out.items()}
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -299,17 +280,13 @@ def p_bracket(a, b):
                 cof1 = mono_div(m1, w1)
                 for w2, e2 in m2:
                     cof2 = mono_div(m2, w2)
-                    base = freelie.lie_bracket(Lie1(w1), Lie1(w2))
+                    base = freelie.lie_bracket(freelie.Lie({w1: 1}), freelie.Lie({w2: 1}))
                     if base.is_zero():
                         continue
                     scale = c * e1 * e2
                     cof = Poly({mono_mul(cof1, cof2): scale})
                     out = out + cof * Poly.from_lie(base)
     return out
-
-
-def Lie1(word):
-    return freelie.Lie({word: 1})
 
 
 def p_deg(a):
@@ -349,28 +326,214 @@ def evaluate(p, images):
     return out
 
 
+def _exponents(words, p):
+    """The terms of p keyed by exponent tuples over `words`."""
+    zeros = [0] * len(words)
+    return {tuple(map(dict(m).get, words, zeros)): c for m, c in p.terms.items()}
+
+
+def _from_exponents(words, terms):
+    order = sorted(range(len(words)), key=lambda i: _basis_key(words[i]))
+    return Poly({tuple((words[i], e[i]) for i in order if e[i]): c for e, c in terms.items()})
+
+
+def _divide(rest, div, quot):
+    """The quotient of two term dicts keyed by exponent tuples, or None if
+    div does not divide rest; `quot` divides coefficients and gives None
+    when it cannot.  The largest key leads.  The remainder is updated in
+    place in `rest` and its leading key is popped from a heap of negated
+    keys; since the exponents of a quotient are bounded by those of rest
+    less those of div, a term outside that box ends a failed division.
+    """
+    tail = dict(div)
+    lead = max(tail)
+    lc = tail.pop(lead)
+    top = [max(col) for col in zip(*rest)]
+    top = [t - max(col) for t, col in zip(top, zip(*div))]
+    heap = [tuple(-x for x in k) for k in rest]
+    heapq.heapify(heap)
+    out = {}
+    while rest:
+        k = tuple(-x for x in heapq.heappop(heap))
+        c = rest.pop(k, None)
+        if c is None:
+            continue
+        m = tuple(map(sub, k, lead))
+        c = quot(c, lc)
+        if c is None or any(x < 0 or x > t for x, t in zip(m, top)):
+            return None
+        out[m] = c
+        for t, d in tail.items():
+            key = tuple(map(add, m, t))
+            if key not in rest:
+                heapq.heappush(heap, tuple(-x for x in key))
+            s = rest.get(key, 0) - c * d
+            if s:
+                rest[key] = s
+            else:
+                del rest[key]
+    return out
+
+
+def _iquot(c, d):
+    q, r = divmod(c, d)
+    return None if r else q
+
+
 def divexact(a, b):
     """Exact polynomial division a / b; raises ValueError if not divisible."""
     if b.is_zero():
         raise ValueError("division by zero polynomial")
-    if a.is_zero():
-        return Poly.zero()
-    mb, cb = b.leading()
-    quo = {}
-    rest = a
-    while not rest.is_zero():
-        ma, ca = rest.leading()
-        if not mono_divides(mb, ma):
-            raise ValueError("polynomials do not divide exactly")
-        m = mono_quotient(ma, mb)
-        c = ca / cb
-        quo[m] = quo.get(m, 0) + c
-        rest = rest - Poly({m: c}) * b
-    return Poly(quo)
+    words = sorted(a.variables() | b.variables(), key=_basis_key)
+    lens = [len(w) for w in words]
+    # keyed by (degree, exponents), whose tuple order is the canonical order
+    a, b = ({(sum(map(mul, lens, e)),) + e: c for e, c in _exponents(words, p).items()} for p in (a, b))
+    quo = _divide(a, b, truediv)
+    if quo is None:
+        raise ValueError("polynomials do not divide exactly")
+    return _from_exponents(words, {e[1:]: c for e, c in quo.items()})
+
+
+def _degrees(p):
+    """The largest exponent of each basis word in p."""
+    return {w: max(e for m in p.terms for v, e in m if v == w) for w in p.variables()}
+
+
+def _deg(f, k):
+    return max(e[k] for e in f)
+
+
+def _coeff(f, k, j, at=0):
+    """The coefficient of x_k^j in f, times x_k^at."""
+    return {e[:k] + (at,) + e[k + 1 :]: c for e, c in f.items() if e[k] == j}
+
+
+def _is_unit(f):
+    return len(f) == 1 and not any(next(iter(f)))
+
+
+def _mul(f, g, out=None, sign=1):
+    """out + sign * f * g for integer polynomials; out is updated in place."""
+    out = {} if out is None else out
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + sign * c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _prem(f, g, k):
+    """A pseudo-remainder of f by g in x_k: lc(g)^j f - q g of lower degree."""
+    d = _deg(g, k)
+    lc = _coeff(g, k, d)
+    while f and _deg(f, k) >= d:
+        df = _deg(f, k)
+        f = _mul(_coeff(f, k, df, df - d), g, _mul(lc, f), -1)
+    return f
+
+
+def _content(f, k):
+    """(content, primitive part) of an integer polynomial f in x_k over
+    Z[x_(k+1), ...]: the content is primitive, and the primitive part has
+    a positive leading coefficient."""
+    g = math.gcd(*f.values())
+    if f[max(f)] < 0:
+        g = -g
+    f = {e: c // g for e, c in f.items()}
+    cont = None
+    for p in sorted((_coeff(f, k, j) for j in {e[k] for e in f}), key=len):
+        cont = p if cont is None else _igcd(cont, p, k + 1)
+        if _is_unit(cont):
+            return cont, f
+    return cont, _divide(dict(f), cont, _iquot)
+
+
+def _igcd(f, g, k):
+    """The gcd of nonzero integer polynomials in x_k, x_(k+1), ..., up to
+    an integer factor: contents recursively, then a primitive
+    pseudo-remainder sequence in x_k."""
+    if _is_unit(f) or _is_unit(g):
+        return {(0,) * len(next(iter(f))): 1}
+    cf, f = _content(f, k)
+    cg, g = _content(g, k)
+    c = _igcd(cf, cg, k + 1)
+    if _deg(f, k) < _deg(g, k):
+        f, g = g, f
+    while _deg(g, k):
+        r = _prem(f, g, k)
+        if not r:
+            return _mul(c, g)
+        f, g = g, _content(r, k)[1]
+    return c
+
+
+def _heu_gcd(f, g, k):
+    """The gcd of nonzero integer polynomials in x_k, x_(k+1), ..., up to
+    sign, or None: the heuristic gcd of Char, Geddes and Gonnet.  With
+    their common integer content taken out, the gcd of the values at
+    x_k = xi (xi at least twice the smaller largest coefficient, plus 2)
+    is expanded in powers of xi; by their theorem, the primitive part of
+    that expansion is the gcd if it divides both inputs.  Six points are
+    tried before giving up.
+    """
+    cont = math.gcd(*f.values(), *g.values())
+    if k == len(next(iter(f))):
+        return {next(iter(f)): cont}
+    f, g = ({e: c // cont for e, c in p.items()} for p in (f, g))
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(6):
+        ff, gg = _eval(f, k, xi), _eval(g, k, xi)
+        h = _heu_gcd(ff, gg, k + 1) if ff and gg else None
+        if h is not None:
+            h = _expand(h, k, xi)
+            d = math.gcd(*h.values())
+            h = {e: c // d for e, c in h.items()}
+            if _divide(dict(f), h, _iquot) is not None and _divide(dict(g), h, _iquot) is not None:
+                return {e: cont * c for e, c in h.items()}
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _eval(f, k, xi):
+    """f at x_k = xi."""
+    out = {}
+    for e, c in f.items():
+        key = e[:k] + (0,) + e[k + 1 :]
+        out[key] = out.get(key, 0) + c * xi ** e[k]
+    return {e: c for e, c in out.items() if c}
+
+
+def _expand(h, k, xi):
+    """The polynomial in x_k whose value at xi is h: each coefficient is
+    written in powers of xi with digits in (-xi/2, xi/2]."""
+    out = {}
+    for e, c in h.items():
+        j = 0
+        while c:
+            d = c % xi
+            d = d - xi if d > xi // 2 else d
+            if d:
+                out[e[:k] + (j,) + e[k + 1 :]] = d
+            c, j = (c - d) // xi, j + 1
+    return out
 
 
 def p_gcd(a, b):
-    """Greatest common divisor, normalized monic in the canonical order."""
+    """Greatest common divisor, normalized monic in the canonical order.
+
+    The inputs become integer polynomials in the basis words that occur
+    in them.  Their monomial contents are split off (the gcd of two
+    monomials takes the smaller exponent per word).  When a primitive
+    part is a single term the gcd is that monomial; otherwise the
+    heuristic gcd gives the rest, or, if it fails, the remainder
+    sequence.  Words that occur in one input only come first, so that
+    taking contents removes them before a remainder sequence runs; the
+    others follow by degree.
+    """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero():
@@ -379,29 +542,16 @@ def p_gcd(a, b):
         return a.monic()
     if a.is_constant() or b.is_constant():
         return Poly.one()
-    import sympy
-
-    words = sorted(a.variables() | b.variables(), key=_basis_key)
-    index = {w: k for k, w in enumerate(words)}
-    syms = sympy.symbols(f"v0:{len(words)}")
-    if len(words) == 1:
-        syms = (syms[0],) if isinstance(syms, tuple) else (syms,)
-
-    def to_sympy(p):
-        data = {}
-        for m, c in p.terms.items():
-            exps = [0] * len(words)
-            for w, e in m:
-                exps[index[w]] = e
-            data[tuple(exps)] = sympy.Rational(c.numerator, c.denominator)
-        return sympy.Poly.from_dict(data, *syms, domain="QQ")
-
-    g = to_sympy(a).gcd(to_sympy(b))
-    terms = {}
-    for exps, c in g.terms():
-        m = tuple((words[k], e) for k, e in enumerate(exps) if e)
-        m = tuple(sorted(m, key=lambda t: _basis_key(t[0])))
-        c = Fraction(int(c.p), int(c.q))
-        terms[m] = c
-    out = Poly(terms)
-    return out.monic()
+    da, db = _degrees(a), _degrees(b)
+    words = sorted(da.keys() | db.keys(), key=lambda w: (w in da and w in db, max(da.get(w, 0), db.get(w, 0)), _basis_key(w)))
+    parts, contents = [], []
+    for p in (a, b):
+        terms = _exponents(words, p)
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        low = tuple(map(min, *terms)) if len(terms) > 1 else next(iter(terms))
+        parts.append({tuple(map(sub, e, low)): c.numerator * (den // c.denominator) for e, c in terms.items()})
+        contents.append(low)
+    f, g = parts
+    h = {(0,) * len(words): 1} if len(f) == 1 or len(g) == 1 else _heu_gcd(f, g, 0) or _igcd(f, g, 0)
+    low = tuple(map(min, *contents))
+    return _from_exponents(words, {tuple(map(add, e, low)): c for e, c in h.items()}).monic()

@@ -333,29 +333,24 @@ def weyl_mul(u, v):
 
 
 def symmetrize(f):
-    """Average of all letter orderings of each monomial, in normal order."""
-    from sympy.utilities.iterables import multiset_permutations
-
+    """Symmetrization P_n -> A_n (the average of all letter orderings of
+    each monomial) in normal order, by the closed form
+    W(x^a y^b) = prod_i sum_k (-1/2)^k k! C(a_i,k) C(b_i,k) X_i^(a_i-k) Y_i^(b_i-k).
+    """
     n = f.n
-    out = Weyl.zero(n)
+    out = {}
     for e, c in f.terms.items():
-        letters = []
-        for var, k in enumerate(e):
-            letters.extend([var] * k)
-        if not letters:
-            out = out + Weyl(n, {((0,) * n, (0,) * n): c})
-            continue
-        reps = Fraction(1)
-        for k in e:
-            reps *= math.factorial(k)
-        weight = c * reps / math.factorial(len(letters))
-        for perm in multiset_permutations(letters):
-            prod = Weyl.one(n)
-            for var in perm:
-                gen = Weyl.X(n, var + 1) if var < n else Weyl.Y(n, var - n + 1)
-                prod = weyl_mul(prod, gen)
-            out = out + weight * prod
-    return out
+        per_index = [
+            [
+                (a - k, b - k, Fraction(-1, 2) ** k * math.factorial(k) * math.comb(a, k) * math.comb(b, k))
+                for k in range(min(a, b) + 1)
+            ]
+            for a, b in zip(e[:n], e[n:])
+        ]
+        for choice in itertools.product(*per_index):
+            key = (tuple(t[0] for t in choice), tuple(t[1] for t in choice))
+            out[key] = out.get(key, 0) + c * math.prod(t[2] for t in choice)
+    return Weyl(n, out)
 
 
 class PnEnv:

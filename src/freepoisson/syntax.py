@@ -14,8 +14,9 @@ juxtaposition is not multiplication):
 "[a,b]" is accepted as a synonym for the bracket "{a,b}" so that
 rendered basis elements such as "[x1,[x1,x2]]" parse back to themselves.
 h(...) is legal only in env mode; y-variables only in symplectic and
-weyl modes.  Rendering is deterministic and parseable: every value
-satisfies parse(render(v)) = v in its own mode.
+weyl modes.  Parentheses, brackets, h(...) and unary minus nest at most
+MAX_DEPTH levels deep.  Rendering is deterministic and parseable: every
+value satisfies parse(render(v)) = v in its own mode.
 """
 
 import functools
@@ -26,6 +27,9 @@ from .core import graded_lex_key, mi_norm
 from .env import Env, env_mul, ham
 from .poisson import Poly
 from .symplectic import PnEnv, SPoly, Weyl, sp_bracket, weyl_mul
+
+
+MAX_DEPTH = 100
 
 
 class ParseError(Exception):
@@ -93,6 +97,7 @@ class _Parser:
         self.mode = mode
         self.tokens = tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def _error(self, message, tok=None):
         tok = tok or self.tokens[self.pos]
@@ -152,6 +157,14 @@ class _Parser:
         return Fraction(num)
 
     def base(self):
+        if self.depth > MAX_DEPTH:
+            self._error(f"expression nested more than {MAX_DEPTH} levels deep")
+        self.depth += 1
+        node = self._base()
+        self.depth -= 1
+        return node
+
+    def _base(self):
         kind = self.peek()
         if kind == "num":
             return ("num", self._rational(1))
@@ -198,27 +211,23 @@ class _Parser:
             return self._const(node[1])
         if op == "var":
             return self._var(node[1], node[2])
-        if op == "+":
-            return self.evaluate(node[1]) + self.evaluate(node[2])
-        if op == "-":
-            return self.evaluate(node[1]) - self.evaluate(node[2])
-        if op == "*":
-            a, b = self.evaluate(node[1]), self.evaluate(node[2])
-            if mode == "env":
-                return env_mul(a, b)
-            if mode == "weyl":
-                return weyl_mul(a, b)
-            return a * b
+        if op in ("+", "-", "*"):
+            # a chain of sums or products nests to the left; walk it
+            # without recursion so that its length is not limited
+            spine = []
+            while node[0] in ("+", "-", "*"):
+                spine.append(node)
+                node = node[1]
+            out = self.evaluate(node)
+            for op, _, right in reversed(spine):
+                b = self.evaluate(right)
+                out = out + b if op == "+" else out - b if op == "-" else self._mul(out, b)
+            return out
         if op == "^":
             base, k = self.evaluate(node[1]), node[2]
             out = self._const(Fraction(1))
             for _ in range(k):
-                if mode == "env":
-                    out = env_mul(out, base)
-                elif mode == "weyl":
-                    out = weyl_mul(out, base)
-                else:
-                    out = out * base
+                out = self._mul(out, base)
             return out
         if op == "bracket":
             a, b = self.evaluate(node[1]), self.evaluate(node[2])
@@ -239,6 +248,13 @@ class _Parser:
             if not rest.is_zero():
                 raise DomainError("h argument must be polynomial")
             return ham(p)
+
+    def _mul(self, a, b):
+        if self.mode == "env":
+            return env_mul(a, b)
+        if self.mode == "weyl":
+            return weyl_mul(a, b)
+        return a * b
 
     def _const(self, c):
         if self.mode == "poisson":

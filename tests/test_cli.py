@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import freepoisson
 from freepoisson.cli import run
 
 
@@ -167,10 +170,38 @@ def test_expressions_starting_with_minus():
     assert cap(["bracket", "-n", "2", "-h"])[0] == 0  # -h alone is still help
 
 
+def test_deep_nesting_is_a_parse_error():
+    code, out, err = cap(["mul", "-n", "2", "(" * 1000 + "x1" + ")" * 1000, "x2"])
+    assert code == 1 and out == "" and err.startswith("parse error: expression nested")
+    assert cap(["bracket", "-n", "2", "(" * 100 + "x1" + ")" * 100]) == (0, "x1\n", "")
+    assert cap(["bracket", "-n", "2", "--", "-" * 101 + "x1"])[0] == 1
+    assert cap(["bracket", "-n", "2", "+".join(["x1"] * 3000)]) == (0, "3000*x1\n", "")
+
+
+def test_commands_do_not_import_sympy():
+    script = (
+        "import sys\n"
+        "from freepoisson.cli import run\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert run(argv.split()) == 0, argv\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    argvs = [
+        "depend -n 2 x1*h(x1) x1*x2*h(x1)+x2",
+        "pair-status -n 2 x1+x2 x1^2+2*x1*x2+x2^2",
+        "symmetrize -n 2 x1^2*y1*y2",
+    ]
+    src = os.path.dirname(os.path.dirname(freepoisson.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_check_command():
     code, out, err = cap(["check", "-n", "2", "graded-top"])
     assert code == 0
     assert out.startswith("ok   graded-top:")
+    assert cap(["check", "graded-top"]) == (code, out, err)  # -n is optional
     code, out, err = cap(["check", "-n", "2", "no-such-suite"])
     assert code == 2 and err
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from freepoisson import poisson
+from freepoisson.core import graded_lex_key
 from freepoisson.freelie import Lie
 from freepoisson.poisson import (
     Poly,
@@ -146,6 +148,71 @@ def test_gcd_divides_and_round_trips():
         assert divexact(g * a, d) * d == g * a
         assert divexact(g * b, d) * d == g * b
         divexact(d, p_gcd(d, g))  # g | d up to the gcd of the pair
+
+
+def _sympy_gcd(a, b):
+    """Monic gcd of two nonconstant polynomials through sympy."""
+    sympy = pytest.importorskip("sympy")
+    words = sorted(a.variables() | b.variables(), key=graded_lex_key)
+    syms = sympy.symbols(f"v0:{len(words)}")
+
+    def to_sympy(p):
+        data = {}
+        for m, c in p.terms.items():
+            e = dict(m)
+            data[tuple(e.get(w, 0) for w in words)] = sympy.Rational(c.numerator, c.denominator)
+        return sympy.Poly.from_dict(data, *syms, domain="QQ")
+
+    g = to_sympy(a).gcd(to_sympy(b))
+    terms = {}
+    for e, c in g.terms():
+        terms[tuple((w, k) for w, k in zip(words, e) if k)] = Fraction(int(c.p), int(c.q))
+    return Poly(terms).monic()
+
+
+def _rand_word_poly(rng, words, terms, degree):
+    out = {}
+    for _ in range(terms):
+        m = {}
+        for _ in range(rng.randint(0, degree)):
+            w = rng.choice(words)
+            m[w] = m.get(w, 0) + 1
+        out[tuple(sorted(m.items(), key=lambda t: graded_lex_key(t[0])))] = Fraction(
+            rng.randint(-9, 9), rng.randint(1, 4)
+        )
+    p = Poly(out)
+    return p if not p.is_zero() else Poly.one()
+
+
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_gcd_matches_sympy_on_random_products(heuristic, monkeypatch):
+    if not heuristic:  # the remainder sequence that backs up the heuristic gcd
+        monkeypatch.setattr(poisson, "_heu_gcd", lambda f, g, k: None)
+    rng = random.Random(97)
+    basis = [(1,), (2,), (1, 2), (1, 1, 2)]
+    for _ in range(120):
+        words = rng.sample(basis, rng.randint(1, 4))
+        g = _rand_word_poly(rng, words, rng.randint(1, 3), 2)
+        a = _rand_word_poly(rng, words, rng.randint(1, 4), 3)
+        b = _rand_word_poly(rng, words, rng.randint(1, 4), 3)
+        x, y = g * a, g * b
+        if x.is_constant() or y.is_constant():
+            continue
+        d = p_gcd(x, y)
+        assert d == _sympy_gcd(x, y)
+        assert divexact(x, g) == a and divexact(y, d) * d == y
+
+
+def test_gcd_monomial_fast_path(monkeypatch):
+    def unused(f, g, k):
+        raise AssertionError("a monomial gcd needs no polynomial gcd")
+
+    monkeypatch.setattr(poisson, "_heu_gcd", unused)
+    monkeypatch.setattr(poisson, "_igcd", unused)
+    x12 = Poly.from_basis((1, 2))
+    assert p_gcd(X1**2 * X2 * x12, 3 * X1 * X2**3 * (X1 + x12)) == X1 * X2
+    assert p_gcd(Fraction(1, 2) * X1**3, X1 * X2 - X1**2) == X1
+    assert p_gcd(X2 * (X1 + X2), x12**2) == Poly.one()
 
 
 def test_evaluate_constants_and_identity():

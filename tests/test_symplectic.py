@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from freepoisson.checks import symmetrize_by_permutations
 from freepoisson.symplectic import (
     PnEnv,
     SPoly,
@@ -104,6 +105,14 @@ def test_symmetrize_is_linear():
         g = rand_spoly(rng, n, 3)
         assert symmetrize(f + g) == symmetrize(f) + symmetrize(g)
         assert symmetrize(3 * f) == 3 * symmetrize(f)
+
+
+def test_symmetrize_matches_the_permutation_average():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 2)
+        f = rand_spoly(rng, n, rng.randint(0, 6), terms=rng.randint(1, 2))
+        assert symmetrize(f) == symmetrize_by_permutations(f)
 
 
 def test_rho_w_worked_value():
