@@ -478,7 +478,9 @@ def _heu_gcd(f, g, k):
     x_k = xi (xi at least twice the smaller largest coefficient, plus 2)
     is expanded in powers of xi; by their theorem, the primitive part of
     that expansion is the gcd if it divides both inputs.  Six points are
-    tried before giving up.
+    tried before giving up, and a failure at an inner level ends the
+    whole attempt at once, so that at most six points per level are
+    evaluated before the caller falls back.
     """
     cont = math.gcd(*f.values(), *g.values())
     if k == len(next(iter(f))):
@@ -487,8 +489,10 @@ def _heu_gcd(f, g, k):
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     for _ in range(6):
         ff, gg = _eval(f, k, xi), _eval(g, k, xi)
-        h = _heu_gcd(ff, gg, k + 1) if ff and gg else None
-        if h is not None:
+        if ff and gg:
+            h = _heu_gcd(ff, gg, k + 1)
+            if h is None:
+                return None
             h = _expand(h, k, xi)
             d = math.gcd(*h.values())
             h = {e: c // d for e, c in h.items()}

@@ -203,6 +203,20 @@ def test_gcd_matches_sympy_on_random_products(heuristic, monkeypatch):
         assert divexact(x, g) == a and divexact(y, d) * d == y
 
 
+def test_gcd_inner_heuristic_failure_falls_back(monkeypatch):
+    heu, levels = poisson._heu_gcd, []
+
+    def fail_inside(f, g, k):
+        levels.append(k)
+        return None if k == 1 else heu(f, g, k)
+
+    monkeypatch.setattr(poisson, "_heu_gcd", fail_inside)
+    g = X1 * X2 + 2 * X2 + 1
+    x, y = g * (X1 + 3 * X2**2 + 1), g * (X1**2 - X2 + 5)
+    assert p_gcd(x, y) == g.monic()
+    assert levels == [0, 1]  # one failure inside ends the attempt
+
+
 def test_gcd_monomial_fast_path(monkeypatch):
     def unused(f, g, k):
         raise AssertionError("a monomial gcd needs no polynomial gcd")
