@@ -1,7 +1,8 @@
 """Command-line front end (installed as ``fpa``).
 
 Exit codes: 0 success, 1 parse error, 2 domain error or failed check
-suite, 3 undecided (step budget or bounded search exhausted).
+suite, 3 undecided (step budget, bounded search or exponent limit
+exhausted).
 """
 
 import argparse
@@ -13,7 +14,7 @@ from . import calculus, symplectic, syntax
 from .depend import StepBudgetExceeded, brute_force_dependence, decide_left_dependence
 from .env import ham
 from .symplectic import moyal, symmetrize, theta_left, theta_right, weyl_mul
-from .syntax import DomainError, ParseError, parse_element
+from .syntax import BudgetError, DomainError, ParseError, parse_element
 
 
 def _dumps(obj):
@@ -33,11 +34,8 @@ def _cmd_bracket(args):
 
 
 def _cmd_mul(args):
-    mode = args.mode
-    a = parse_element(args.lhs, args.n, mode)
-    b = parse_element(args.rhs, args.n, mode)
-    if mode == "weyl":
-        return _emit(args, weyl_mul(a, b))
+    a = parse_element(args.lhs, args.n, args.mode)
+    b = parse_element(args.rhs, args.n, args.mode)
     return _emit(args, a * b)
 
 
@@ -311,7 +309,7 @@ def run(argv):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except StepBudgetExceeded as exc:
+    except (StepBudgetExceeded, BudgetError) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,13 @@
-"""Exact scalars, multi-indices, and the word order shared by the algebra modules."""
+"""Exact scalars, multi-indices, the word order, and the sparse-term kernel
+shared by the algebra modules.
+
+`Terms` is the base class of the six element types (Lie, Poly, Env,
+SPoly, Weyl, PnEnv): an element is a dict from basis keys to nonzero
+coefficients, and the arithmetic that does not depend on the basis (sums,
+negation, scalar multiples, equality, hashing, truth and powers) lives
+here once.  `accumulate` is the one loop that adds terms into a dict and
+drops the zeros.
+"""
 
 import math
 from fractions import Fraction
@@ -46,3 +55,169 @@ def mi_swap(a):
         raise ValueError("multi-index length must be even")
     n = len(a) // 2
     return tuple(a[n:]) + tuple(a[:n])
+
+
+SCALARS = (int, Fraction)
+
+
+def accumulate(out, items, scale=None):
+    """Add (key, coefficient) pairs into the dict `out` in place; returns it.
+
+    Each coefficient is multiplied by `scale` first when one is given.  A
+    key whose sum is zero is dropped, so `out` keeps only nonzero
+    coefficients.  Coefficients are scalars or elements of an algebra
+    (the Poly coefficients of Env); anything with +, * and truth works.
+    """
+    if scale is not None:
+        items = ((k, c * scale) for k, c in items)
+    get = out.get
+    for k, c in items:
+        s = get(k)
+        if s is not None:
+            c = s + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    return out
+
+
+class Terms:
+    """A finite sum of basis elements with coefficients: the shared kernel
+    of Lie, Poly, Env, SPoly, Weyl and PnEnv.
+
+    `terms` maps basis keys to nonzero coefficients.  `n` is the number of
+    variable pairs of the symplectic algebras, which fixes the length of
+    their keys, and None for the others.  The public constructor
+    normalizes its input through the hooks `_key` and `_coefficient` and
+    drops zeros; `_make` and `_like` are the trusted constructors for
+    dicts that are already normalized, such as the results of the
+    package's own arithmetic, and keep the dict as it is.
+
+    The base gives +, -, scalar *, ==, hash, truth and ** by repeated
+    squaring.  A subclass supplies `_lift`, which turns a scalar (and, for
+    Env and PnEnv, a coefficient) into an element or gives
+    NotImplemented, and `_mul`, its product, if it has one.  Other
+    operands make the operators return NotImplemented, so that Python
+    raises TypeError.  Elements compare equal only to elements of the same
+    class and n, and to the scalars they lift from; a constant hashes as
+    its scalar.
+    """
+
+    __slots__ = ("terms", "n")
+
+    _key = tuple
+    _coefficient = Fraction
+
+    def __init__(self, terms=None, n=None):
+        self.n = n
+        data = {}
+        if terms:
+            for k, c in terms.items():
+                c = self._coefficient(c)
+                if c:
+                    data[self._key(k)] = c
+        self.terms = data
+
+    @classmethod
+    def _make(cls, terms, n=None):
+        out = cls.__new__(cls)
+        out.terms = terms
+        out.n = n
+        return out
+
+    def _like(self, terms):
+        return self._make(terms, self.n)
+
+    def _lift(self, x):
+        return NotImplemented
+
+    def _mul(self, other):
+        return NotImplemented
+
+    def _operand(self, other):
+        """other as an element of this algebra, or NotImplemented."""
+        if type(other) is not type(self):
+            other = self._lift(other)
+            if other is NotImplemented:
+                return other
+        if other.n != self.n:
+            raise ValueError("mismatched variable counts")
+        return other
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented or not self.terms:
+            return other
+        if not other.terms:
+            return self
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self._like(accumulate(dict(self.terms), ((k, -c) for k, c in other.terms.items())))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            c = Fraction(other)
+            return self._like({k: v * c for k, v in self.terms.items()} if c else {})
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self._mul(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, SCALARS):
+            return self * other
+        other = self._lift(other)
+        return other if other is NotImplemented else other * self
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            raise ValueError("negative power")
+        if k == 0:
+            return self._lift(1)
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
+
+    def __eq__(self, other):
+        if isinstance(other, SCALARS):
+            other = self._lift(other)
+            if other is NotImplemented:
+                return False
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __hash__(self):
+        if not self.terms:
+            return hash(0)
+        if len(self.terms) == 1:
+            unit = self._lift(1)
+            if unit is not NotImplemented and unit.terms.keys() == self.terms.keys():
+                return hash(next(iter(self.terms.values())))
+        return hash(frozenset(self.terms.items()))

@@ -13,7 +13,6 @@ pairwise incomparable under right division.
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import freelie, poisson
@@ -44,22 +43,12 @@ class DependencyVerdict:
     final_words: Optional[tuple] = None
 
 
-def _as_env(x):
-    if isinstance(x, Env):
-        return x
-    if isinstance(x, Poly):
-        return Env.from_poly(x)
-    if isinstance(x, (int, Fraction)):
-        return Env.from_poly(Poly.constant(x))
-    raise TypeError(f"cannot interpret {x!r} as an enveloping element")
-
-
 def lambda_shift(lam, u):
     """For lam in P and u with hdeg u = m, the v with lam^(m+1)*u = v*lam.
 
     Uses lam*u = u*lam + u1 where hdeg u1 < hdeg u, then recurses on u1.
     """
-    u = _as_env(u)
+    u = Env.zero() + u
     if not isinstance(lam, Poly):
         lam = Poly.constant(lam)
     if lam.is_zero() or u.is_zero():
@@ -75,6 +64,17 @@ def lambda_shift(lam, u):
     return lam**m * u + lam ** (m - 1 - m1) * v1
 
 
+def _composition_factors(u, v):
+    """(a, b, t) with a*u - b*h_t*v free of the leading term of u.
+
+    ldm(v) right-divides ldm(u), say ldm(u) = t + ldm(v); with
+    r = p_gcd(ldc(u), ldc(v)), a = ldc(v)/r and b = ldc(u)/r.
+    """
+    wu, wv = ldm(u), ldm(v)
+    r = poisson.p_gcd(ldc(u), ldc(v))
+    return poisson.divexact(ldc(v), r), poisson.divexact(ldc(u), r), wu[: len(wu) - len(wv)]
+
+
 def composition(u, v):
     """Cancel the leading term of u against that of v.
 
@@ -82,18 +82,14 @@ def composition(u, v):
     r = p_gcd(ldc(u), ldc(v)) returns (ldc(v)/r)*u - (ldc(u)/r)*t*v,
     which is zero or has a strictly smaller leading word.
     """
-    u, v = _as_env(u), _as_env(v)
+    u, v = Env.zero() + u, Env.zero() + v
     if u.is_zero() or v.is_zero():
         raise ValueError("composition requires nonzero inputs")
-    wu, wv = ldm(u), ldm(v)
-    if not word_right_divides(wv, wu):
+    if not word_right_divides(ldm(v), ldm(u)):
         raise ValueError("ldm(v) does not right-divide ldm(u)")
-    t = wu[: len(wu) - len(wv)]
-    r = poisson.p_gcd(ldc(u), ldc(v))
-    a = poisson.divexact(ldc(v), r)
-    b = poisson.divexact(ldc(u), r)
+    a, b, t = _composition_factors(u, v)
     out = a * u - b * env_mul(Env({t: Poly.one()}), v)
-    if not out.is_zero() and graded_lex_key(ldm(out)) >= graded_lex_key(wu):
+    if not out.is_zero() and graded_lex_key(ldm(out)) >= graded_lex_key(ldm(u)):
         raise AssertionError("composition failed to lower the leading word")
     return out
 
@@ -102,12 +98,12 @@ def verify_witness(witness, elements):
     """True iff some witness entry is nonzero and the combination vanishes."""
     if len(witness) != len(elements):
         raise ValueError("witness and element counts differ")
-    ws = [_as_env(w) for w in witness]
+    ws = [Env.zero() + w for w in witness]
     if all(w.is_zero() for w in ws):
         return False
     total = Env.zero()
     for w, s in zip(ws, elements):
-        total = total + env_mul(w, _as_env(s))
+        total = total + env_mul(w, Env.zero() + s)
     return total.is_zero()
 
 
@@ -124,7 +120,7 @@ def decide_left_dependence(elements, max_steps=100_000):
     incomparable under right division.  Raises StepBudgetExceeded when
     the reduction budget runs out.
     """
-    originals = [_as_env(s) for s in elements]
+    originals = [Env.zero() + s for s in elements]
     if not originals:
         raise ValueError("empty system")
     k = len(originals)
@@ -162,11 +158,7 @@ def decide_left_dependence(elements, max_steps=100_000):
             raise StepBudgetExceeded(f"no verdict within {max_steps} reductions")
         si, ci = rows[i]
         sj, cj = rows[j]
-        wu, wv = ldm(si), ldm(sj)
-        t = wu[: len(wu) - len(wv)]
-        r = poisson.p_gcd(ldc(si), ldc(sj))
-        a = poisson.divexact(ldc(sj), r)
-        b = poisson.divexact(ldc(si), r)
+        a, b, t = _composition_factors(si, sj)
         t_env = Env({t: Poly.one()})
         new_s = a * si - b * env_mul(t_env, sj)
         new_c = [a * ci[r_] - b * env_mul(t_env, cj[r_]) for r_ in range(k)]
@@ -184,7 +176,7 @@ def decide_left_dependence(elements, max_steps=100_000):
                 if w is not None:
                     return DependencyVerdict("dependent", w, trace)
             raise StepBudgetExceeded("zero row with zero combination")
-        if graded_lex_key(ldm(new_s)) >= graded_lex_key(wu):
+        if graded_lex_key(ldm(new_s)) >= graded_lex_key(ldm(si)):
             raise AssertionError("reduction failed to lower the leading word")
         rows[i] = (new_s, new_c)
 
@@ -287,7 +279,7 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
-    elements = [_as_env(s) for s in elements]
+    elements = [Env.zero() + s for s in elements]
     if not elements:
         return None
     for r, s in enumerate(elements):

@@ -12,27 +12,15 @@ bracket term shortens the pending h-word, which makes the rewriting
 terminate.
 """
 
-from fractions import Fraction
-
 from . import freelie, poisson
-from .core import graded_lex_key
+from .core import SCALARS, Terms, accumulate, graded_lex_key
 from .poisson import Poly
 
 
-class Env:
+class Env(Terms):
     """Enveloping-algebra element: finite map from h-words to Poly."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for w, p in terms.items():
-                if not isinstance(p, Poly):
-                    p = Poly.constant(p)
-                if not p.is_zero():
-                    data[tuple(w)] = p
-        self.terms = data
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -52,65 +40,16 @@ class Env:
             raise ValueError("generator index must be >= 1")
         return Env({(i,): Poly.one()})
 
-    def is_zero(self):
-        return not self.terms
+    def _coefficient(self, p):
+        return p if isinstance(p, Poly) else Poly.constant(p)
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _lift(self, x):
+        if isinstance(x, SCALARS):
+            x = Poly.constant(x)
+        return Env._make({(): x} if x else {}) if isinstance(x, Poly) else NotImplemented
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            s = out.get(w)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return Env(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Env({w: -p for w, p in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Env({w: p * c for w, p in self.terms.items()})
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other):
         return env_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Poly):
-            # left coefficients multiply commutatively
-            return Env({w: other * p for w, p in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, hash(p)) for w, p in self.terms.items()))
 
     def hdeg(self):
         """Length of the longest h-word, or -inf for zero."""
@@ -128,19 +67,19 @@ class Env:
 
     def leading_term(self):
         w = self.leading_word()
-        return Env({w: self.terms[w]})
+        return Env._make({w: self.terms[w]})
 
     def top_part(self):
         """Terms whose h-word has maximal length."""
         if not self.terms:
             return Env()
         d = self.hdeg()
-        return Env({w: p for w, p in self.terms.items() if len(w) == d})
+        return Env._make({w: p for w, p in self.terms.items() if len(w) == d})
 
     def split(self):
         """(polynomial part, remainder with nonempty h-words)."""
         p = self.terms.get((), Poly.zero())
-        rest = Env({w: q for w, q in self.terms.items() if w})
+        rest = Env._make({w: q for w, q in self.terms.items() if w})
         return p, rest
 
     def last_letter_parts(self):
@@ -149,7 +88,7 @@ class Env:
         for w, p in self.terms.items():
             k = w[-1] if w else 0
             out.setdefault(k, {})[w] = p
-        return {k: Env(t) for k, t in out.items()}
+        return {k: Env._make(t) for k, t in out.items()}
 
     def __repr__(self):
         if not self.terms:
@@ -161,51 +100,39 @@ class Env:
         return "Env(" + " + ".join(bits) + ")"
 
 
-def _coerce(x):
-    if isinstance(x, Env):
-        return x
-    if isinstance(x, Poly):
-        return Env.from_poly(x)
-    if isinstance(x, (int, Fraction)):
-        return Env.from_poly(Poly.constant(x))
-    return NotImplemented
-
-
-def _acc(out, w, p):
-    s = out.get(w)
-    s = p if s is None else s + p
-    if s.is_zero():
-        out.pop(w, None)
-    else:
-        out[w] = s
-
-
 def _word_past(w, q):
-    """h_w * q as a dict word -> Poly, pushing h-letters right past q."""
+    """h_w * q as a dict word -> Poly, pushing h-letters right past q.
+
+    The letters of w move right one at a time, the last first, by
+    h_j * r = r * h_j + {x_j, r}.  A (suffix, r) path ends as soon as r
+    is constant, and the paths are summed by suffix only at the end, so
+    every bracket is taken on the same r as in a recursive rewriting.
+    The loop has no recursion depth to run out of.
+    """
     if q.is_zero():
         return {}
     if not w or q.is_constant():
         return {w: q}
-    j = w[-1]
-    head = w[:-1]
-    out = {}
-    for u, r in _word_past(head, q).items():
-        _acc(out, u + (j,), r)
-    br = poisson.p_bracket(Poly.generator(j), q)
-    if not br.is_zero():
-        for u, r in _word_past(head, br).items():
-            _acc(out, u, r)
-    return out
+    done, paths = [], [((), q)]
+    for i in range(len(w) - 1, -1, -1):
+        step = []
+        for s, r in paths:
+            if r.is_constant():
+                done.append((w[: i + 1] + s, r))
+                continue
+            step.append(((w[i],) + s, r))
+            br = poisson.p_bracket(Poly.generator(w[i]), r)
+            if br:
+                step.append((s, br))
+        paths = step
+    return accumulate({}, done + paths)
 
 
 def env_mul(a, b):
     """Product in the enveloping algebra, result in canonical form."""
-    out = {}
-    for w, p in a.terms.items():
-        for v, q in b.terms.items():
-            for u, r in _word_past(w, q).items():
-                _acc(out, u + v, p * r)
-    return Env(out)
+    b = b.terms.items()
+    products = ((u + v, p * r) for w, p in a.terms.items() for v, q in b for u, r in _word_past(w, q).items())
+    return Env._make(accumulate({}, products))
 
 
 def commutator(a, b):
@@ -216,9 +143,8 @@ def graded_mul(a, b):
     """Product of top symbols: concatenate h-words, multiply coefficients."""
     out = {}
     for w, p in a.terms.items():
-        for v, q in b.terms.items():
-            _acc(out, w + v, p * q)
-    return Env(out)
+        accumulate(out, ((w + v, p * q) for v, q in b.terms.items()))
+    return Env._make(out)
 
 
 _HAM_CACHE = {}
@@ -245,12 +171,12 @@ def ham(p):
     h(m) = sum over basis factors e_w of  e·(m / e_w)·h(e_w),
     and on basis elements by h([u, v]) = [h(u), h(v)].
     """
-    out = Env.zero()
+    out = {}
     for m, c in p.terms.items():
         for w, e in m:
-            cof = Poly({poisson.mono_div(m, w): c * e})
-            out = out + cof * _ham_word(w)
-    return out
+            cof = Poly._make({poisson.mono_div(m, w): c * e})
+            accumulate(out, (cof * _ham_word(w)).terms.items())
+    return Env._make(out)
 
 
 def hdeg(u):

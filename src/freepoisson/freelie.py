@@ -9,7 +9,7 @@ with that letter order (a proper prefix is smaller than the full word).
 
 from fractions import Fraction
 
-from .core import graded_lex_key
+from .core import SCALARS, Terms, accumulate, graded_lex_key
 
 
 def is_lyndon(word):
@@ -67,19 +67,10 @@ def standard_bracketing(word):
     return (standard_bracketing(u), standard_bracketing(v))
 
 
-class Lie:
+class Lie(Terms):
     """A free-Lie-algebra element: finite map from Lyndon words to scalars."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    data[tuple(w)] = c
-        self.terms = data
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -97,8 +88,9 @@ class Lie:
             raise ValueError(f"{word!r} is not a Lyndon word")
         return Lie({tuple(word): 1})
 
-    def is_zero(self):
-        return not self.terms
+    def _lift(self, c):
+        # the free Lie algebra has no unit: 0 is its only scalar
+        return Lie() if isinstance(c, SCALARS) and not c else NotImplemented
 
     def degree(self):
         """Maximal word length, or -inf for the zero element."""
@@ -109,38 +101,6 @@ class Lie:
     def is_homogeneous(self):
         return len({len(w) for w in self.terms}) <= 1
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return Lie(out)
-
-    def __neg__(self):
-        return Lie({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, c):
-        c = Fraction(c)
-        return Lie({w: c * v for w, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, Lie):
-            return self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "Lie(0)"
@@ -149,17 +109,6 @@ class Lie:
 
 
 _BRACKET_CACHE = {}
-
-
-def _accumulate(out, terms, sign=1):
-    for w, c in terms.items():
-        s = out.get(w, 0) + sign * c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-
-
 _IN_PROGRESS = object()
 
 
@@ -192,9 +141,9 @@ def _basis_bracket(u, v):
             u1, u2 = standard_factorization(u)
             out = {}
             for z, c in _basis_bracket(u2, v).items():
-                _accumulate(out, {z2: c * c2 for z2, c2 in _basis_bracket(u1, z).items()})
+                accumulate(out, _basis_bracket(u1, z).items(), c)
             for z, c in _basis_bracket(u1, v).items():
-                _accumulate(out, {z2: c * c2 for z2, c2 in _basis_bracket(u2, z).items()}, sign=-1)
+                accumulate(out, _basis_bracket(u2, z).items(), -c)
     except BaseException:
         # an interrupted rewrite must not leave its marker behind
         del _BRACKET_CACHE[key]
@@ -208,14 +157,8 @@ def lie_bracket(a, b):
     out = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            c = cu * cv
-            for w, cw in _basis_bracket(u, v).items():
-                s = out.get(w, 0) + c * cw
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-    return Lie(out)
+            accumulate(out, _basis_bracket(u, v).items(), cu * cv)
+    return Lie._make(out)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +177,7 @@ def associative_expansion(word):
     out = {}
     for wu, cu in a.items():
         for wv, cv in b.items():
-            _accumulate(out, {wu + wv: cu * cv})
-            _accumulate(out, {wv + wu: cu * cv}, sign=-1)
+            accumulate(out, [(wu + wv, cu * cv), (wv + wu, -cu * cv)])
     return out
 
 
@@ -243,8 +185,7 @@ def lie_to_associative(a):
     """Image of a Lie element in the free associative algebra."""
     out = {}
     for w, c in a.terms.items():
-        for wa, ca in associative_expansion(w).items():
-            _accumulate(out, {wa: c * ca})
+        accumulate(out, associative_expansion(w).items(), c)
     return out
 
 
@@ -262,10 +203,9 @@ def lie_from_associative(terms):
         if not is_lyndon(w):
             raise ValueError(f"not a Lie element: stray word {w!r}")
         c = rest[w]
-        out[w] = out.get(w, 0) + c
-        for wa, ca in associative_expansion(w).items():
-            _accumulate(rest, {wa: c * ca}, sign=-1)
-    return Lie(out)
+        accumulate(out, ((w, c),))
+        accumulate(rest, associative_expansion(w).items(), -c)
+    return Lie._make(out)
 
 
 def lie_bracket_oracle(a, b):
@@ -275,6 +215,5 @@ def lie_bracket_oracle(a, b):
     out = {}
     for wa, ca in ea.items():
         for wb, cb in eb.items():
-            _accumulate(out, {wa + wb: ca * cb})
-            _accumulate(out, {wb + wa: ca * cb}, sign=-1)
+            accumulate(out, [(wa + wb, ca * cb), (wb + wa, -ca * cb)])
     return lie_from_associative(out)

@@ -19,15 +19,7 @@ over the entries of a new pivot.
 
 from fractions import Fraction
 
-
-def _axpy(vec, f, other):
-    """vec -= f * other, in place."""
-    for k, c in other.items():
-        s = vec.get(k, 0) - f * c
-        if s:
-            vec[k] = s
-        else:
-            vec.pop(k, None)
+from .core import accumulate
 
 
 def _exact(vec):
@@ -45,9 +37,9 @@ class SparseSolver:
             if piv is None:
                 return k
             pvec, pcombo = piv
-            f = vec[k] / pvec[k]
-            _axpy(vec, f, pvec)
-            _axpy(combo, f, pcombo)
+            f = -vec[k] / pvec[k]
+            accumulate(vec, pvec.items(), f)
+            accumulate(combo, pcombo.items(), f)
         return None
 
     def add(self, col_id, vec):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import add, mul, sub, truediv
 
 from . import freelie
-from .core import graded_lex_key
+from .core import SCALARS, Terms, accumulate, graded_lex_key
 
 
 def _basis_key(word):
@@ -85,19 +85,10 @@ def mono_cmp(a, b):
     return 0
 
 
-class Poly:
+class Poly(Terms):
     """A Poisson-algebra element: finite map from monomials to scalars."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    data[tuple(m)] = c
-        self.terms = data
+    __slots__ = ()
 
     @staticmethod
     def zero():
@@ -125,89 +116,21 @@ class Poly:
 
     @staticmethod
     def from_lie(a):
-        return Poly({((w, 1),): c for w, c in a.terms.items()})
+        return Poly._make({((w, 1),): c for w, c in a.terms.items()})
 
-    def is_zero(self):
-        return not self.terms
+    def _lift(self, c):
+        return Poly.constant(c) if isinstance(c, SCALARS) else NotImplemented
+
+    def _mul(self, other):
+        b = other.terms.items()
+        products = ((mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in b)
+        return Poly._make(accumulate({}, products))
 
     def is_constant(self):
         return all(m == () for m in self.terms)
 
     def constant_value(self):
         return self.terms.get((), Fraction(0))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Poly({m: c * v for m, v in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def deg(self):
         """Total degree, or -inf for the zero polynomial."""
@@ -254,25 +177,17 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _coerce(x):
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.constant(Fraction(x))
-    return NotImplemented
-
-
 def p_add(a, b):
-    return _coerce(a) + _coerce(b)
+    return Poly.zero() + a + b
 
 
 def p_mul(a, b):
-    return _coerce(a) * _coerce(b)
+    return Poly.one() * a * b
 
 
 def p_bracket(a, b):
     """Poisson bracket, extended from the Lie bracket by the Leibniz rule."""
-    out = Poly.zero()
+    out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             c = c1 * c2
@@ -283,10 +198,9 @@ def p_bracket(a, b):
                     base = freelie.lie_bracket(freelie.Lie({w1: 1}), freelie.Lie({w2: 1}))
                     if base.is_zero():
                         continue
-                    scale = c * e1 * e2
-                    cof = Poly({mono_mul(cof1, cof2): scale})
-                    out = out + cof * Poly.from_lie(base)
-    return out
+                    cof = Poly._make({mono_mul(cof1, cof2): c * e1 * e2})
+                    accumulate(out, (cof * Poly.from_lie(base)).terms.items())
+    return Poly._make(out)
 
 
 def p_deg(a):
@@ -317,13 +231,13 @@ def evaluate(p, images):
             cache[w] = got
         return got
 
-    out = Poly.zero()
+    out = {}
     for m, c in p.terms.items():
         acc = Poly.constant(c)
         for w, e in m:
             acc = acc * eval_word(w) ** e
-        out = out + acc
-    return out
+        accumulate(out, acc.terms.items())
+    return Poly._make(out)
 
 
 def _exponents(words, p):

@@ -12,29 +12,22 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import mi_add, mi_factorial, mi_norm, mi_swap
+from operator import add
+
+from .core import SCALARS, Terms, accumulate, mi_add, mi_factorial, mi_norm, mi_swap
 
 
 def _zero_mi(n2):
     return (0,) * n2
 
 
-class SPoly:
+class SPoly(Terms):
     """Polynomial in x_1..x_n, y_1..y_n: map 2n-exponent tuple -> Scalar."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
-        self.n = n
-        data = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    if len(e) != 2 * n:
-                        raise ValueError("exponent length must be 2n")
-                    data[tuple(e)] = c
-        self.terms = data
+        super().__init__(terms, n)
 
     @staticmethod
     def zero(n):
@@ -64,8 +57,18 @@ class SPoly:
         e[n + i - 1] = 1
         return SPoly(n, {tuple(e): 1})
 
-    def is_zero(self):
-        return not self.terms
+    def _key(self, e):
+        if len(e) != 2 * self.n:
+            raise ValueError("exponent length must be 2n")
+        return tuple(e)
+
+    def _lift(self, c):
+        return SPoly.constant(self.n, c) if isinstance(c, SCALARS) else NotImplemented
+
+    def _mul(self, other):
+        b = other.terms.items()
+        products = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in b)
+        return self._like(accumulate({}, products))
 
     def is_constant(self):
         return all(not any(e) for e in self.terms)
@@ -78,70 +81,6 @@ class SPoly:
             return float("-inf")
         return max(sum(e) for e in self.terms)
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched variable counts")
-
-    def __add__(self, other):
-        other = _sp_coerce(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SPoly(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SPoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_sp_coerce(self.n, other))
-
-    def __rsub__(self, other):
-        return _sp_coerce(self.n, other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return SPoly(self.n, {e: c * v for e, v in self.terms.items()})
-        self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mi_add(e1, e2)
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SPoly(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k):
-        out = SPoly.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SPoly.constant(self.n, other)
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def derive(self, var):
         """Partial derivative by position: 0..n-1 are x's, n..2n-1 are y's."""
         out = {}
@@ -150,7 +89,7 @@ class SPoly:
                 e2 = list(e)
                 e2[var] -= 1
                 out[tuple(e2)] = c * e[var]
-        return SPoly(self.n, out)
+        return self._like(out)
 
     def derive_multi(self, gamma):
         out = self
@@ -174,14 +113,6 @@ class SPoly:
         return f"SPoly({self.n}, {self.terms!r})"
 
 
-def _sp_coerce(n, x):
-    if isinstance(x, SPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return SPoly.constant(n, x)
-    raise TypeError(f"cannot interpret {x!r} as a symplectic polynomial")
-
-
 def sp_bracket(f, g):
     """Canonical bracket: sum_i (df/dx_i dg/dy_i - df/dy_i dg/dx_i)."""
     if f.n != g.n:
@@ -193,22 +124,13 @@ def sp_bracket(f, g):
     return out
 
 
-class Weyl:
+class Weyl(Terms):
     """Weyl-algebra element in normal order: map (alpha, beta) -> Scalar."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
-        self.n = n
-        data = {}
-        if terms:
-            for (a, b), c in terms.items():
-                c = Fraction(c)
-                if c:
-                    if len(a) != n or len(b) != n:
-                        raise ValueError("multi-index length must be n")
-                    data[(tuple(a), tuple(b))] = c
-        self.terms = data
+        super().__init__(terms, n)
 
     @staticmethod
     def zero(n):
@@ -235,65 +157,20 @@ class Weyl:
         b[i - 1] = 1
         return Weyl(n, {((0,) * n, tuple(b)): 1})
 
-    def is_zero(self):
-        return not self.terms
+    def _key(self, k):
+        a, b = k
+        if len(a) != self.n or len(b) != self.n:
+            raise ValueError("multi-index length must be n")
+        return (tuple(a), tuple(b))
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched variable counts")
+    def _lift(self, c):
+        return Weyl.one(self.n) * c if isinstance(c, SCALARS) else NotImplemented
 
-    def __add__(self, other):
-        other = _weyl_coerce(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Weyl(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Weyl(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_weyl_coerce(self.n, other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Weyl(self.n, {k: c * v for k, v in self.terms.items()})
-        return weyl_mul(self, _weyl_coerce(self.n, other))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Weyl(self.n, {((0,) * self.n, (0,) * self.n): other})
-        if not isinstance(other, Weyl):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+    def _mul(self, other):
+        return weyl_mul(self, other)
 
     def __repr__(self):
         return f"Weyl({self.n}, {self.terms!r})"
-
-
-def _weyl_coerce(n, x):
-    if isinstance(x, Weyl):
-        return x
-    if isinstance(x, (int, Fraction)):
-        z = (0,) * n
-        return Weyl(n, {(z, z): x})
-    raise TypeError(f"cannot interpret {x!r} as a Weyl element")
 
 
 def weyl_mul(u, v):
@@ -305,31 +182,29 @@ def weyl_mul(u, v):
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
     n = u.n
-    out = {}
-    for (a, b), c1 in u.terms.items():
-        for (cc, d), c2 in v.terms.items():
-            ranges = [range(min(b[i], cc[i]) + 1) for i in range(n)]
-            for k in itertools.product(*ranges):
-                coeff = c1 * c2
-                for i in range(n):
-                    ki = k[i]
-                    if ki:
-                        coeff *= (
-                            (-1) ** ki
-                            * math.factorial(ki)
-                            * math.comb(b[i], ki)
-                            * math.comb(cc[i], ki)
-                        )
-                key = (
-                    tuple(a[i] + cc[i] - k[i] for i in range(n)),
-                    tuple(b[i] + d[i] - k[i] for i in range(n)),
-                )
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return Weyl(n, out)
+
+    def terms():
+        for (a, b), c1 in u.terms.items():
+            for (cc, d), c2 in v.terms.items():
+                ranges = [range(min(b[i], cc[i]) + 1) for i in range(n)]
+                for k in itertools.product(*ranges):
+                    coeff = c1 * c2
+                    for i in range(n):
+                        ki = k[i]
+                        if ki:
+                            coeff *= (
+                                (-1) ** ki
+                                * math.factorial(ki)
+                                * math.comb(b[i], ki)
+                                * math.comb(cc[i], ki)
+                            )
+                    key = (
+                        tuple(a[i] + cc[i] - k[i] for i in range(n)),
+                        tuple(b[i] + d[i] - k[i] for i in range(n)),
+                    )
+                    yield key, coeff
+
+    return Weyl._make(accumulate({}, terms()), n)
 
 
 def symmetrize(f):
@@ -347,33 +222,27 @@ def symmetrize(f):
             ]
             for a, b in zip(e[:n], e[n:])
         ]
-        for choice in itertools.product(*per_index):
-            key = (tuple(t[0] for t in choice), tuple(t[1] for t in choice))
-            out[key] = out.get(key, 0) + c * math.prod(t[2] for t in choice)
-    return Weyl(n, out)
+        accumulate(
+            out,
+            (
+                ((tuple(t[0] for t in choice), tuple(t[1] for t in choice)), c * math.prod(t[2] for t in choice))
+                for choice in itertools.product(*per_index)
+            ),
+        )
+    return Weyl._make(out, n)
 
 
-class PnEnv:
+class PnEnv(Terms):
     """Enveloping element over the symplectic algebra.
 
     Map from h-multi-indices (length 2n; the h-generators commute) to
     SPoly coefficients written on the left.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n, terms=None):
-        self.n = n
-        data = {}
-        if terms:
-            for g, p in terms.items():
-                if not isinstance(p, SPoly):
-                    p = SPoly.constant(n, p)
-                if not p.is_zero():
-                    if len(g) != 2 * n:
-                        raise ValueError("h-index length must be 2n")
-                    data[tuple(g)] = p
-        self.terms = data
+        super().__init__(terms, n)
 
     @staticmethod
     def zero(n):
@@ -403,73 +272,27 @@ class PnEnv:
         g[n + i - 1] = 1
         return PnEnv(n, {tuple(g): SPoly.one(n)})
 
-    def is_zero(self):
-        return not self.terms
+    def _key(self, g):
+        if len(g) != 2 * self.n:
+            raise ValueError("h-index length must be 2n")
+        return tuple(g)
+
+    def _coefficient(self, p):
+        return p if isinstance(p, SPoly) else SPoly.constant(self.n, p)
+
+    def _lift(self, x):
+        if isinstance(x, SCALARS):
+            x = SPoly.constant(self.n, x)
+        return PnEnv._make({_zero_mi(2 * x.n): x} if x else {}, x.n) if isinstance(x, SPoly) else NotImplemented
+
+    def _mul(self, other):
+        return pn_env_mul(self, other)
 
     def p_part(self):
         return self.terms.get(_zero_mi(2 * self.n), SPoly.zero(self.n))
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mismatched variable counts")
-
-    def __add__(self, other):
-        other = _pn_coerce(self.n, other)
-        self._check(other)
-        out = dict(self.terms)
-        for g, p in other.terms.items():
-            s = out.get(g)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return PnEnv(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PnEnv(self.n, {g: -p for g, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-_pn_coerce(self.n, other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PnEnv(
-                self.n, {g: p * Fraction(other) for g, p in self.terms.items()}
-            )
-        return pn_env_mul(self, _pn_coerce(self.n, other))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, SPoly):
-            return PnEnv(self.n, {g: other * p for g, p in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, SPoly)):
-            other = _pn_coerce(self.n, other)
-        if not isinstance(other, PnEnv):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset((g, hash(p)) for g, p in self.terms.items())))
-
     def __repr__(self):
         return f"PnEnv({self.n}, {self.terms!r})"
-
-
-def _pn_coerce(n, x):
-    if isinstance(x, PnEnv):
-        return x
-    if isinstance(x, SPoly):
-        return PnEnv.from_poly(x)
-    if isinstance(x, (int, Fraction)):
-        return PnEnv(n, {_zero_mi(2 * n): SPoly.constant(n, x)})
-    raise TypeError(f"cannot interpret {x!r} as an enveloping element")
 
 
 def _h_past(n, gamma, q):
@@ -482,29 +305,11 @@ def _h_past(n, gamma, q):
     t = next((k for k, v in enumerate(gamma) if v), None)
     if t is None or q.is_constant():
         return {tuple(gamma): q}
-    rest = list(gamma)
-    rest[t] -= 1
-    n2 = 2 * n
+    rest = gamma[:t] + (gamma[t] - 1,) + gamma[t + 1 :]
     dq = q.derive(n + t) if t < n else -q.derive(t - n)
-    out = {}
-    for g, r in _h_past(n, tuple(rest), q).items():
-        g2 = list(g)
-        g2[t] += 1
-        g2 = tuple(g2)
-        s = out.get(g2)
-        s = r if s is None else s + r
-        if s.is_zero():
-            out.pop(g2, None)
-        else:
-            out[g2] = s
+    out = accumulate({}, ((g[:t] + (g[t] + 1,) + g[t + 1 :], r) for g, r in _h_past(n, rest, q).items()))
     if not dq.is_zero():
-        for g, r in _h_past(n, tuple(rest), dq).items():
-            s = out.get(g)
-            s = r if s is None else s + r
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
+        accumulate(out, _h_past(n, rest, dq).items())
     return out
 
 
@@ -513,63 +318,37 @@ def pn_env_mul(u, v):
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
     n = u.n
-    out = {}
-    for g, p in u.terms.items():
-        for d, q in v.terms.items():
-            for g2, r in _h_past(n, g, q).items():
-                key = mi_add(g2, d)
-                s = out.get(key)
-                s = p * r if s is None else s + p * r
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-    return PnEnv(n, out)
+    b = v.terms.items()
+    products = ((mi_add(g2, d), p * r) for g, p in u.terms.items() for d, q in b for g2, r in _h_past(n, g, q).items())
+    return PnEnv._make(accumulate({}, products), n)
 
 
 def pn_commutator(a, b):
     return pn_env_mul(a, b) - pn_env_mul(b, a)
 
 
-def theta_left_images(n):
-    out_x = [
-        PnEnv.from_poly(SPoly.x(n, i)) + Fraction(1, 2) * PnEnv.h_x(n, i)
-        for i in range(1, n + 1)
-    ]
-    out_y = [
-        PnEnv.from_poly(SPoly.y(n, i)) + Fraction(1, 2) * PnEnv.h_y(n, i)
-        for i in range(1, n + 1)
-    ]
-    return out_x, out_y
-
-
-def theta_right_images(n):
-    out_x = [
-        PnEnv.from_poly(SPoly.x(n, i)) - Fraction(1, 2) * PnEnv.h_x(n, i)
-        for i in range(1, n + 1)
-    ]
-    out_y = [
-        PnEnv.from_poly(SPoly.y(n, i)) - Fraction(1, 2) * PnEnv.h_y(n, i)
-        for i in range(1, n + 1)
-    ]
-    return out_x, out_y
+def _theta(a, sign):
+    """Image of a under X_i -> x_i + sign*h_{x_i}/2, Y_i -> y_i + sign*h_{y_i}/2:
+    each normal-order monomial is multiplied out in its own order for
+    sign 1 and in reverse for sign -1."""
+    n = a.n
+    half = Fraction(sign, 2)
+    im_x = [PnEnv.from_poly(SPoly.x(n, i)) + half * PnEnv.h_x(n, i) for i in range(1, n + 1)]
+    im_y = [PnEnv.from_poly(SPoly.y(n, i)) + half * PnEnv.h_y(n, i) for i in range(1, n + 1)]
+    out = {}
+    for (al, be), c in a.terms.items():
+        letters = [im_x[i] for i in range(n) for _ in range(al[i])]
+        letters += [im_y[i] for i in range(n) for _ in range(be[i])]
+        prod = PnEnv.one(n) * c
+        for im in letters[::sign]:
+            prod = pn_env_mul(prod, im)
+        accumulate(out, prod.terms.items())
+    return PnEnv._make(out, n)
 
 
 def theta_left(a):
     """Homomorphism X_i -> x_i + h_{x_i}/2, Y_i -> y_i + h_{y_i}/2."""
-    n = a.n
-    im_x, im_y = theta_left_images(n)
-    out = PnEnv.zero(n)
-    for (al, be), c in a.terms.items():
-        prod = PnEnv.one(n) * c
-        for i in range(n):
-            for _ in range(al[i]):
-                prod = pn_env_mul(prod, im_x[i])
-        for i in range(n):
-            for _ in range(be[i]):
-                prod = pn_env_mul(prod, im_y[i])
-        out = out + prod
-    return out
+    return _theta(a, 1)
 
 
 def theta_right(a):
@@ -577,19 +356,7 @@ def theta_right(a):
 
     Each normal-order monomial has its factor order reversed.
     """
-    n = a.n
-    im_x, im_y = theta_right_images(n)
-    out = PnEnv.zero(n)
-    for (al, be), c in a.terms.items():
-        prod = PnEnv.one(n) * c
-        for i in reversed(range(n)):
-            for _ in range(be[i]):
-                prod = pn_env_mul(prod, im_y[i])
-        for i in reversed(range(n)):
-            for _ in range(al[i]):
-                prod = pn_env_mul(prod, im_x[i])
-        out = out + prod
-    return out
+    return _theta(a, -1)
 
 
 def _multi_indices_bounded(bounds):
@@ -599,15 +366,12 @@ def _multi_indices_bounded(bounds):
 def rho_w(f):
     """Closed form of theta_left(symmetrize(f)):
     sum over gamma of  d^gamma(f) h^gamma / (gamma! 2^|gamma|)."""
-    n = f.n
-    out = PnEnv.zero(n)
+    out = {}
     for gamma in _multi_indices_bounded(f.max_exponents()):
         df = f.derive_multi(gamma)
-        if df.is_zero():
-            continue
-        scale = Fraction(1) / (mi_factorial(gamma) * 2 ** mi_norm(gamma))
-        out = out + PnEnv(n, {tuple(gamma): df * scale})
-    return out
+        if not df.is_zero():
+            out[gamma] = df * (Fraction(1) / (mi_factorial(gamma) * 2 ** mi_norm(gamma)))
+    return PnEnv._make(out, f.n)
 
 
 def moyal(f, g):
@@ -616,7 +380,7 @@ def moyal(f, g):
     if f.n != g.n:
         raise ValueError("mismatched variable counts")
     n = f.n
-    out = SPoly.zero(n)
+    out = {}
     for alpha in _multi_indices_bounded(f.max_exponents()):
         df = f.derive_multi(alpha)
         if df.is_zero():
@@ -626,5 +390,5 @@ def moyal(f, g):
             continue
         a2 = mi_norm(alpha[n:])
         scale = Fraction((-1) ** a2) / (mi_factorial(alpha) * 2 ** mi_norm(alpha))
-        out = out + df * dg * scale
-    return out
+        accumulate(out, (df * dg).terms.items(), scale)
+    return SPoly._make(out, n)

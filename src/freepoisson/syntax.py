@@ -15,7 +15,8 @@ juxtaposition is not multiplication):
 rendered basis elements such as "[x1,[x1,x2]]" parse back to themselves.
 h(...) is legal only in env mode; y-variables only in symplectic and
 weyl modes.  Parentheses, brackets, h(...) and unary minus nest at most
-MAX_DEPTH levels deep.  Rendering is deterministic and parseable: every
+MAX_DEPTH levels deep, and an exponent above MAX_EXPONENT raises
+BudgetError.  Rendering is deterministic and parseable: every
 value satisfies parse(render(v)) = v in its own mode.
 """
 
@@ -24,12 +25,13 @@ from fractions import Fraction
 
 from . import freelie, poisson
 from .core import graded_lex_key, mi_norm
-from .env import Env, env_mul, ham
+from .env import Env, ham
 from .poisson import Poly
-from .symplectic import PnEnv, SPoly, Weyl, sp_bracket, weyl_mul
+from .symplectic import PnEnv, SPoly, Weyl, sp_bracket
 
 
 MAX_DEPTH = 100
+MAX_EXPONENT = 1000
 
 
 class ParseError(Exception):
@@ -41,6 +43,10 @@ class ParseError(Exception):
 
 class DomainError(Exception):
     pass
+
+
+class BudgetError(Exception):
+    """The input asks for more work than a budget allows."""
 
 
 def _linecol(src, pos):
@@ -142,6 +148,8 @@ class _Parser:
         if self.peek() == "^":
             self.next()
             tok = self.expect("num", "an exponent")
+            if tok[1] > MAX_EXPONENT:
+                raise BudgetError(f"exponent {tok[1]} is above the limit of {MAX_EXPONENT}")
             node = ("^", node, tok[1])
         return node
 
@@ -221,14 +229,10 @@ class _Parser:
             out = self.evaluate(node)
             for op, _, right in reversed(spine):
                 b = self.evaluate(right)
-                out = out + b if op == "+" else out - b if op == "-" else self._mul(out, b)
+                out = out + b if op == "+" else out - b if op == "-" else out * b
             return out
         if op == "^":
-            base, k = self.evaluate(node[1]), node[2]
-            out = self._const(Fraction(1))
-            for _ in range(k):
-                out = self._mul(out, base)
-            return out
+            return self.evaluate(node[1]) ** node[2]
         if op == "bracket":
             a, b = self.evaluate(node[1]), self.evaluate(node[2])
             if mode == "poisson":
@@ -248,13 +252,6 @@ class _Parser:
             if not rest.is_zero():
                 raise DomainError("h argument must be polynomial")
             return ham(p)
-
-    def _mul(self, a, b):
-        if self.mode == "env":
-            return env_mul(a, b)
-        if self.mode == "weyl":
-            return weyl_mul(a, b)
-        return a * b
 
     def _const(self, c):
         if self.mode == "poisson":

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 import freepoisson
-from freepoisson.cli import run
+from freepoisson.cli import _build_parser, run
 
 
 def cap(argv):
@@ -215,3 +217,53 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "[x1,x2]\n"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.jsonl")
+
+
+def test_golden_transcript():
+    # stdout and exit code of a fixed set of calls covering every
+    # subcommand, recorded once; output must stay byte-identical
+    with open(GOLDEN) as fh:
+        cases = [json.loads(line) for line in fh if line.strip()]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {c["argv"][0] for c in cases} == set(sub.choices)
+    for case in cases:
+        code, out, _ = cap(case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_long_h_words_do_not_exhaust_the_stack():
+    code, out, err = cap(["mul", "-n", "1", "*".join(["h(x1)"] * 1500), "x1"])
+    assert code == 0 and "Traceback" not in err
+    assert out == "x1*" + "*".join(["h(x1)"] * 1500) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mul", "-n", "2", "x1^99999999999", "x2"],
+        ["bracket", "-n", "2", "x1^99999999999*x2"],
+        ["mul", "-n", "1", "--mode", "weyl", "y1^99999999999", "x1^99999999999"],
+    ],
+)
+def test_exponents_above_the_limit_are_undecided(argv):
+    script = "import sys\nfrom freepoisson.cli import run\nsys.exit(run(sys.argv[1:]))\n"
+    src = os.path.dirname(os.path.dirname(freepoisson.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=2
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("undecided: exponent") and "Traceback" not in proc.stderr
+
+
+def test_exponent_limit():
+    from freepoisson.syntax import MAX_EXPONENT
+
+    corpus = os.path.join(os.path.dirname(freepoisson.__file__), "data", "depend_corpus.jsonl")
+    with open(corpus) as fh:
+        assert max(int(e) for e in re.findall(r"\^(\d+)", fh.read())) <= MAX_EXPONENT
+    assert cap(["bracket", "-n", "1", f"x1^{MAX_EXPONENT}"]) == (0, f"x1^{MAX_EXPONENT}\n", "")
+    assert cap(["bracket", "-n", "1", f"x1^{MAX_EXPONENT + 1}"])[0] == 3

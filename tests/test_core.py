@@ -11,6 +11,10 @@ from freepoisson.core import (
     mi_norm,
     mi_swap,
 )
+from freepoisson.env import Env
+from freepoisson.freelie import Lie
+from freepoisson.poisson import Poly
+from freepoisson.symplectic import PnEnv, SPoly, Weyl
 
 
 def test_scalar_constants():
@@ -79,3 +83,96 @@ def test_mi_swap_is_an_involution():
 def test_mi_swap_rejects_odd_length():
     with pytest.raises(ValueError):
         mi_swap((1, 2, 3))
+
+
+# --- the operator contract shared by the six algebra classes ----------------
+
+ALGEBRAS = {
+    "Lie": (Lie.zero(), Lie.generator(1)),
+    "Poly": (Poly.zero(), Poly.generator(1)),
+    "Env": (Env.zero(), Env.h_generator(1)),
+    "SPoly": (SPoly.zero(1), SPoly.x(1, 1)),
+    "Weyl": (Weyl.zero(1), Weyl.X(1, 1)),
+    "PnEnv": (PnEnv.zero(1), PnEnv.h_x(1, 1)),
+}
+WITH_UNIT = [name for name in ALGEBRAS if name != "Lie"]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_zero_is_falsy(name):
+    zero, x = ALGEBRAS[name]
+    assert not zero and zero.is_zero() and zero == 0
+    assert x and not x.is_zero()
+    assert not (x - x) and x - x == zero
+    assert not (0 * x) and not (x * Fraction(0))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_arithmetic(name):
+    zero, x = ALGEBRAS[name]
+    assert x + x == 2 * x == x * 2
+    assert -x == x * -1 == zero - x
+    assert x + zero == x == 0 + x
+    assert (x * Fraction(1, 2)).terms == {k: c * Fraction(1, 2) for k, c in x.terms.items()}
+
+
+@pytest.mark.parametrize("name", WITH_UNIT)
+def test_powers(name):
+    _, x = ALGEBRAS[name]
+    assert x**0 == 1
+    assert x**1 == x
+    assert x**5 == x * x * x * x * x
+    with pytest.raises(ValueError):
+        x**-1
+
+
+@pytest.mark.parametrize("name", WITH_UNIT)
+def test_scalars_lift(name):
+    _, x = ALGEBRAS[name]
+    assert x + 2 == 2 + x
+    assert (x + 2) - x == 2
+    assert 2 - x == -(x - 2)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@pytest.mark.parametrize("operand", [1.5, "x1", None])
+def test_unsupported_operands_raise_type_error(name, operand):
+    _, x = ALGEBRAS[name]
+    for op in (
+        lambda: x + operand,
+        lambda: operand + x,
+        lambda: x - operand,
+        lambda: operand - x,
+        lambda: x * operand,
+        lambda: operand * x,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert x != operand
+
+
+def test_the_free_lie_algebra_has_no_unit():
+    x = Lie.generator(1)
+    for op in (lambda: x + 1, lambda: 1 - x, lambda: x * x, lambda: x**2):
+        with pytest.raises(TypeError):
+            op()
+    assert x != 1 and x + 0 == x
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_equal_elements_hash_equal(name):
+    zero, x = ALGEBRAS[name]
+    pairs = [(zero, 0), (zero, Fraction(0)), (x + x, 2 * x), (x - x, zero)]
+    if name in WITH_UNIT:
+        pairs += [(x**0, 1), (x**0 * 3, 3), (x**0 * Fraction(1, 2), Fraction(1, 2))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+
+
+def test_no_equality_across_algebras():
+    assert Poly.constant(2) != Env.from_poly(Poly.constant(2))
+    assert Env.from_poly(Poly.constant(2)) != Poly.constant(2)
+    assert SPoly.constant(1, 2) != PnEnv.from_poly(SPoly.constant(1, 2))
+    assert SPoly.zero(1) != SPoly.zero(2)
+    with pytest.raises(ValueError):
+        SPoly.x(1, 1) + SPoly.x(2, 1)

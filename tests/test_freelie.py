@@ -192,7 +192,7 @@ def test_interrupted_rewrite_leaves_the_cache_usable(monkeypatch):
     # (x1x2, x3) is not a standard factorization, so the rewrite recurses
     # through the Jacobi identity and accumulates; interrupt it once there
     monkeypatch.setattr(freelie, "_BRACKET_CACHE", {})
-    real = freelie._accumulate
+    real = freelie.accumulate
     failed = []
 
     def flaky(*args, **kwargs):
@@ -201,7 +201,7 @@ def test_interrupted_rewrite_leaves_the_cache_usable(monkeypatch):
             raise KeyboardInterrupt
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(freelie, "_accumulate", flaky)
+    monkeypatch.setattr(freelie, "accumulate", flaky)
     a, b = Lie({(1, 2): 1}), Lie({(3,): 1})
     with pytest.raises(KeyboardInterrupt):
         lie_bracket(a, b)
