@@ -10,7 +10,7 @@ import itertools
 import json
 import sys
 
-from . import calculus, symplectic, syntax
+from . import calculus, syntax
 from .depend import StepBudgetExceeded, brute_force_dependence, decide_left_dependence
 from .env import ham
 from .symplectic import moyal, symmetrize, theta_left, theta_right, weyl_mul

@@ -42,13 +42,6 @@ def mi_factorial(a):
     return Fraction(out)
 
 
-def mi_add(a, b):
-    """Entrywise sum of two multi-indices of equal length."""
-    if len(a) != len(b):
-        raise ValueError("multi-index lengths differ")
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mi_swap(a):
     """Swap the two halves of an even-length multi-index."""
     if len(a) % 2:

@@ -165,17 +165,11 @@ def decide_left_dependence(elements, max_steps=100_000):
         trace.append(ReductionRecord(i, j, t, a, b))
 
         if new_s.is_zero():
-            if any(not w.is_zero() for w in new_c):
-                witness = tuple(new_c)
-                if not verify_witness(witness, originals):
-                    raise AssertionError("reduction produced an invalid witness")
-                return DependencyVerdict("dependent", witness, trace)
-            # Theoretically excluded; fall back to the bounded oracle.
-            for bounds in ((2, 2), (3, 4), (4, 6)):
-                w = brute_force_dependence(originals, *bounds)
-                if w is not None:
-                    return DependencyVerdict("dependent", w, trace)
-            raise StepBudgetExceeded("zero row with zero combination")
+            # a != 0 and P^e is a domain, so the combinations stay left independent: new_c is not all zero
+            witness = tuple(new_c)
+            if not verify_witness(witness, originals):
+                raise AssertionError("reduction produced an invalid witness")
+            return DependencyVerdict("dependent", witness, trace)
         if graded_lex_key(ldm(new_s)) >= graded_lex_key(ldm(si)):
             raise AssertionError("reduction failed to lower the leading word")
         rows[i] = (new_s, new_c)

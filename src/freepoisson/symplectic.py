@@ -2,10 +2,18 @@
 
 Polynomials live in k[x_1..x_n, y_1..y_n] with the canonical bracket
 {x_i, y_j} = delta_ij.  Weyl elements are kept in normal order (all X
-factors left of all Y factors).  The enveloping engine for this algebra
-keeps commuting h-generators indexed by a length-2n multi-index; moving
-h_{x_i} or h_{y_i} past a coefficient inserts +d/dy_i or -d/dx_i terms
-respectively.
+factors left of all Y factors).  The enveloping algebra P_n^e keeps SPoly
+coefficients on the left of commuting h-generators indexed by a length-2n
+multi-index, with h_{x_i} q = q h_{x_i} + dq/dy_i and
+h_{y_i} q = q h_{y_i} - dq/dx_i.
+
+P_n^e is the Weyl algebra A_2n.  The signed relabeling R sends x_i, y_i,
+h_{y_i} and h_{x_i} to X_i, X_(n+i), Y_i and -Y_(n+i): the x's and y's
+commute among themselves, as do the h's, and [h_{y_i}, x_i] = -1 and
+[h_{x_i}, y_i] = 1 become [Y_i, X_i] = -1 and [-Y_(n+i), X_(n+i)] = 1,
+the relations of A_2n.  Coefficients-left, h's-right is X-before-Y normal
+order, so R is a renaming of keys with a sign (-1)^|gamma_x|, and
+pn_env_mul and the theta maps multiply through weyl_mul.
 """
 
 import itertools
@@ -14,7 +22,7 @@ from fractions import Fraction
 
 from operator import add
 
-from .core import SCALARS, Terms, accumulate, mi_add, mi_factorial, mi_norm, mi_swap
+from .core import SCALARS, Terms, accumulate, mi_factorial, mi_norm, mi_swap
 
 
 def _zero_mi(n2):
@@ -278,7 +286,11 @@ class PnEnv(Terms):
         return tuple(g)
 
     def _coefficient(self, p):
-        return p if isinstance(p, SPoly) else SPoly.constant(self.n, p)
+        if not isinstance(p, SPoly):
+            return SPoly.constant(self.n, p)
+        if p.n != self.n:
+            raise ValueError("mismatched variable counts")
+        return p
 
     def _lift(self, x):
         if isinstance(x, SCALARS):
@@ -295,32 +307,26 @@ class PnEnv(Terms):
         return f"PnEnv({self.n}, {self.terms!r})"
 
 
-def _h_past(n, gamma, q):
-    """h^gamma * q as a dict h-index -> SPoly.
+def _to_weyl(u):
+    """R(u) in A_2n: c*x^a y^b*h_x^gx h_y^gy -> (-1)^|gx| c*X^(a,b) Y^(gy,gx)."""
+    n = u.n
+    terms = {(e, g[n:] + g[:n]): -c if sum(g[:n]) % 2 else c for g, p in u.terms.items() for e, c in p.terms.items()}
+    return Weyl._make(terms, 2 * n)
 
-    h_{x_i} q = q h_{x_i} + dq/dy_i  and  h_{y_i} q = q h_{y_i} - dq/dx_i.
-    """
-    if q.is_zero():
-        return {}
-    t = next((k for k, v in enumerate(gamma) if v), None)
-    if t is None or q.is_constant():
-        return {tuple(gamma): q}
-    rest = gamma[:t] + (gamma[t] - 1,) + gamma[t + 1 :]
-    dq = q.derive(n + t) if t < n else -q.derive(t - n)
-    out = accumulate({}, ((g[:t] + (g[t] + 1,) + g[t + 1 :], r) for g, r in _h_past(n, rest, q).items()))
-    if not dq.is_zero():
-        accumulate(out, _h_past(n, rest, dq).items())
-    return out
+
+def _from_weyl(a, n):
+    """The element u of P_n^e with R(u) = a."""
+    out = {}
+    for (e, b), c in a.terms.items():
+        out.setdefault(b[n:] + b[:n], {})[e] = -c if sum(b[n:]) % 2 else c
+    return PnEnv._make({g: SPoly._make(t, n) for g, t in out.items()}, n)
 
 
 def pn_env_mul(u, v):
     """Product in the symplectic enveloping algebra, canonical form."""
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
-    n = u.n
-    b = v.terms.items()
-    products = ((mi_add(g2, d), p * r) for g, p in u.terms.items() for d, q in b for g2, r in _h_past(n, g, q).items())
-    return PnEnv._make(accumulate({}, products), n)
+    return _from_weyl(weyl_mul(_to_weyl(u), _to_weyl(v)), u.n)
 
 
 def pn_commutator(a, b):
@@ -330,20 +336,22 @@ def pn_commutator(a, b):
 def _theta(a, sign):
     """Image of a under X_i -> x_i + sign*h_{x_i}/2, Y_i -> y_i + sign*h_{y_i}/2:
     each normal-order monomial is multiplied out in its own order for
-    sign 1 and in reverse for sign -1."""
+    sign 1 and in reverse for sign -1.  The product is taken in A_2n,
+    where the images are R(x_i + s*h_{x_i}/2) = X_i - s*Y_(n+i)/2 and
+    R(y_i + s*h_{y_i}/2) = X_(n+i) + s*Y_i/2."""
     n = a.n
     half = Fraction(sign, 2)
-    im_x = [PnEnv.from_poly(SPoly.x(n, i)) + half * PnEnv.h_x(n, i) for i in range(1, n + 1)]
-    im_y = [PnEnv.from_poly(SPoly.y(n, i)) + half * PnEnv.h_y(n, i) for i in range(1, n + 1)]
+    im_x = [Weyl.X(2 * n, i) - half * Weyl.Y(2 * n, n + i) for i in range(1, n + 1)]
+    im_y = [Weyl.X(2 * n, n + i) + half * Weyl.Y(2 * n, i) for i in range(1, n + 1)]
     out = {}
     for (al, be), c in a.terms.items():
         letters = [im_x[i] for i in range(n) for _ in range(al[i])]
         letters += [im_y[i] for i in range(n) for _ in range(be[i])]
-        prod = PnEnv.one(n) * c
+        prod = Weyl.one(2 * n) * c
         for im in letters[::sign]:
-            prod = pn_env_mul(prod, im)
+            prod = weyl_mul(prod, im)
         accumulate(out, prod.terms.items())
-    return PnEnv._make(out, n)
+    return _from_weyl(Weyl._make(out, 2 * n), n)
 
 
 def theta_left(a):

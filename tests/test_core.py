@@ -6,7 +6,6 @@ from freepoisson.core import (
     ONE,
     ZERO,
     graded_lex_key,
-    mi_add,
     mi_factorial,
     mi_norm,
     mi_swap,
@@ -60,13 +59,6 @@ def test_mi_factorial():
 def test_mi_factorial_rejects_negative_entries():
     with pytest.raises(ValueError):
         mi_factorial((1, -1))
-
-
-def test_mi_add():
-    assert mi_add((1, 2), (3, 0)) == (4, 2)
-    assert mi_add((), ()) == ()
-    with pytest.raises(ValueError):
-        mi_add((1, 2), (1,))
 
 
 def test_mi_swap_exchanges_halves():
@@ -176,3 +168,5 @@ def test_no_equality_across_algebras():
     assert SPoly.zero(1) != SPoly.zero(2)
     with pytest.raises(ValueError):
         SPoly.x(1, 1) + SPoly.x(2, 1)
+    with pytest.raises(ValueError):
+        PnEnv(1, {(0, 0): SPoly.x(2, 1)})

@@ -6,6 +6,8 @@ from freepoisson.symplectic import (
     PnEnv,
     SPoly,
     Weyl,
+    _from_weyl,
+    _to_weyl,
     moyal,
     pn_commutator,
     pn_env_mul,
@@ -191,6 +193,24 @@ def test_pn_env_mul_is_associative():
         b = rand_pn_env(rng, n, 2, 2)
         c = rand_pn_env(rng, n, 1, 1)
         assert pn_env_mul(pn_env_mul(a, b), c) == pn_env_mul(a, pn_env_mul(b, c))
+
+
+def test_relabeling_sends_generators_to_weyl_generators():
+    for n in (1, 2):
+        for i in range(1, n + 1):
+            assert _to_weyl(PnEnv.from_poly(SPoly.x(n, i))) == Weyl.X(2 * n, i)
+            assert _to_weyl(PnEnv.from_poly(SPoly.y(n, i))) == Weyl.X(2 * n, n + i)
+            assert _to_weyl(PnEnv.h_y(n, i)) == Weyl.Y(2 * n, i)
+            assert _to_weyl(PnEnv.h_x(n, i)) == -Weyl.Y(2 * n, n + i)
+
+
+def test_relabeling_round_trips():
+    rng = random.Random(47)
+    for n in (1, 2):
+        assert _from_weyl(_to_weyl(PnEnv.zero(n)), n) == PnEnv.zero(n)
+        for _ in range(20):
+            u = rand_pn_env(rng, n, 3, 3)
+            assert _from_weyl(_to_weyl(u), n) == u
 
 
 def test_canonical_commutators():
