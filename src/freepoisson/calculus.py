@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import depend, poisson
-from .core import graded_lex_key
+from .core import BudgetError
 from .env import Env, env_mul, ham, split
 from .linalg import SparseSolver
 from .poisson import Poly
@@ -167,9 +167,6 @@ def _verify_inverse(J, V):
     return mat_mul(V, J) == ident and mat_mul(J, V) == ident
 
 
-_EMPTY_ROW = (graded_lex_key(()), (0, ()))
-
-
 def _search_box(J, hb, cb, n_vars):
     """Exact solve of V*J = I and J*V = I with V confined to the box.
 
@@ -178,9 +175,13 @@ def _search_box(J, hb, cb, n_vars):
     and (J[i][a] * m) * h_w at the rows ("R", i, b, word, mono).
     """
     n = J.n
+
+    def prefix(side, i, j):  # ("L"|"R", i, j) as a ColumnBuilder prefix
+        return (side * n + i) * n + j
+
     words = depend.words_up_to(n_vars, hb)
     monos = depend.monomials_up_to(n_vars, cb)
-    columns = depend.ColumnBuilder()
+    columns = depend.ColumnBuilder([u for row in J.entries for u in row], hb, cb, n_vars)
     base_left = {
         (b, k, w): env_mul(Env({w: Poly.one()}), J.entries[b][k])
         for b in range(n)
@@ -201,19 +202,16 @@ def _search_box(J, hb, cb, n_vars):
                 left = [
                     e
                     for k in range(n)
-                    for e in columns.flatten(base_left[(b, k, w)], ("L", a, k))
+                    for e in columns.flatten(base_left[(b, k, w)], prefix(0, a, k))
                 ]
                 for m in monos:
                     col = columns.shift(left, m)
                     for i in range(n):
-                        right = columns.flatten(base_right[(i, a, m)], ("R", i, b), w)
+                        right = columns.flatten(base_right[(i, a, m)], prefix(1, i, b), w)
                         columns.shift(right, (), col)
                     solver.add((a, b, w, m), col)
 
-    rhs = {}
-    for i in range(n):
-        rhs[("L", i, i) + _EMPTY_ROW] = Fraction(1)
-        rhs[("R", i, i) + _EMPTY_ROW] = Fraction(1)
+    rhs = {columns.key(prefix(s, i, i), (), ()): Fraction(1) for s in (0, 1) for i in range(n)}
     combo = solver.solve(rhs)
     if combo is None:
         return None
@@ -223,7 +221,7 @@ def _search_box(J, hb, cb, n_vars):
     return EnvMatrix(entries)
 
 
-def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=200_000):
+def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BUDGET):
     """Search for an exact two-sided inverse of J over the enveloping algebra.
 
     Coefficients of the candidate inverse are confined to h-words of
@@ -234,16 +232,7 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=200_000):
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
     n = J.n
-    n_vars = max(
-        [n]
-        + [
-            max(w) if w else 1
-            for row in J.entries
-            for u in row
-            for w in u.terms
-            if w
-        ]
-    )
+    n_vars = max([n] + [max(w) for row in J.entries for u in row for w in u.terms if w])
 
     pm = _poly_matrix(J)
     if pm is not None:
@@ -261,13 +250,12 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=200_000):
                 raise AssertionError("adjugate inverse failed verification")
             return InversionResult("invertible", V, True)
 
-    # shrink the box until the unknown count fits the budget
-    hb, cb = hdeg_bound, coeff_deg_bound
+    # shrink the box until the unknown count fits the budget; a box with
+    # a bound above the budget has more than budget unknowns, and the
+    # shrinking passes through (min(hb, budget), min(cb, budget))
+    hb, cb = min(hdeg_bound, budget), min(coeff_deg_bound, budget)
     while True:
-        count = n * n * len(depend.words_up_to(n_vars, hb)) * len(
-            depend.monomials_up_to(n_vars, cb)
-        )
-        if count <= budget:
+        if n * n * depend.box_size(n_vars, hb, cb, budget) <= budget:
             break
         if cb > hb and cb > 0:
             cb -= 1
@@ -337,9 +325,12 @@ def pair_status(f, g, max_steps=100_000):
     if got is None:
         base = max(int(max(f.deg(), g.deg())), 1)
         for extra in (0, 2, 4):
-            w = depend.brute_force_dependence(
-                [hf, hg], 0, base + extra, n=depend._infer_n([hf, hg])
-            )
+            try:
+                w = depend.brute_force_dependence(
+                    [hf, hg], 0, base + extra, n=depend._infer_n([hf, hg])
+                )
+            except BudgetError:
+                break
             if w is not None:
                 got = try_pair(split(w[0])[0], -split(w[1])[0])
                 if got is not None:

@@ -53,6 +53,10 @@ def mi_swap(a):
 SCALARS = (int, Fraction)
 
 
+class BudgetError(Exception):
+    """The input asks for more work than a budget allows."""
+
+
 def accumulate(out, items, scale=None):
     """Add (key, coefficient) pairs into the dict `out` in place; returns it.
 

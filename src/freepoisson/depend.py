@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import freelie, poisson
-from .core import graded_lex_key
+from .core import BudgetError, graded_lex_key
 from .env import Env, env_mul, ldc, ldm, word_right_divides
 from .linalg import SparseSolver
 from .poisson import Poly
@@ -175,6 +175,9 @@ def decide_left_dependence(elements, max_steps=100_000):
         rows[i] = (new_s, new_c)
 
 
+BOX_BUDGET = 200_000  # unknowns of one bounded search
+
+
 def words_up_to(n, max_len):
     """All h-words over 1..n of length 0..max_len, shortest first."""
     out = []
@@ -186,25 +189,37 @@ def words_up_to(n, max_len):
 def monomials_up_to(n, max_deg):
     """All Poisson monomials of total degree <= max_deg, in canonical form."""
     basis = freelie.lyndon_basis(n, max_deg) if max_deg >= 1 else []
-    out = []
+    out, stack = [], [((), 0, 0)]  # monomial, its degree, first basis index still free
+    while stack:
+        m, d, i = stack.pop()
+        out.append((d, m))
+        for j in range(i, len(basis)):
+            w = basis[j]
+            if d + len(w) > max_deg:
+                break  # the basis is sorted by length
+            for e in range(1, (max_deg - d) // len(w) + 1):
+                stack.append((m + ((w, e),), d + e * len(w), j + 1))
+    return [m for _, m in sorted(out)]
 
-    def rec(idx, room, acc):
-        if idx == len(basis):
-            out.append(tuple(acc))
-            return
-        w = basis[idx]
-        step = len(w)
-        rec(idx + 1, room, acc)
-        e = 1
-        while e * step <= room:
-            acc.append((w, e))
-            rec(idx + 1, room - e * step, acc)
-            acc.pop()
-            e += 1
 
-    rec(0, max_deg, [])
-    out.sort(key=lambda m: (poisson.mono_deg(m), m))
-    return out
+def box_size(n, max_len, max_deg, cap):
+    """len(words_up_to(n, max_len)) * len(monomials_up_to(n, max_deg)) in
+    closed form, or cap + 1 when that is larger than cap.
+
+    There are n^l words of length l, and as many monomials of degree l:
+    the monomials are counted by prod_l (1 - t^l)^-M(n, l), where M(n, l)
+    is the number of Lyndon words of length l (Witt's formula), and that
+    product is 1 / (1 - n*t) (Poincare-Birkhoff-Witt).
+    """
+
+    def up_to(d):
+        if n == 1:
+            return d + 1
+        if d >= cap.bit_length():
+            return cap + 1
+        return (n ** (d + 1) - 1) // (n - 1)
+
+    return min(up_to(max_len) * up_to(max_deg), cap + 1)
 
 
 def _infer_n(elements):
@@ -220,41 +235,93 @@ def _infer_n(elements):
 
 
 class ColumnBuilder:
-    """Columns m * u of a bounded search, built by shifting monomial keys.
+    """Columns m * u of a bounded search, built by shifting monomial codes.
 
-    An element u is flattened once into entries (row-key prefix, monomial
-    m2, deg m2, coefficient); the column of m * u is then the same
-    coefficients at the keys prefix + ((deg m + deg m2, m * m2),).
-    Multiplying by a fixed monomial is injective on monomials, so no two
-    entries of one flattened element land on the same key.  The products
-    m * m2 are memoized for the lifetime of the builder, which is one
-    search.
+    A row is one int that sorts like the tuple key
+    (prefix, graded_lex_key(word), (deg mono, mono)).  Its mixed-radix
+    digits are, most significant first: the caller's prefix; the length
+    and the letters of the h-word; the degree of the monomial and its
+    (basis word, exponent) pairs, padded with 0 to a fixed count.  A basis
+    word is its letters padded with 0 on the right, so that a prefix of a
+    word sorts first, as in tuple comparison.  The radices hold the rows of
+    m * h_w * s and s * m * h_w for s in `elements`, |w| <= hdeg_bound and
+    deg m <= coeff_deg_bound, with letters up to n or the largest letter
+    present.  Moving an h-letter past a coefficient brackets it with some
+    x_j, which adds 1 to the degree, so no degree passes coeff_deg_bound +
+    hdeg_bound + max(deg p + |v|) over the terms p * h_v of s.  A bracket
+    also lengthens one basis word by 1 and adds at most one factor, which
+    bounds word lengths and factor counts more tightly for inputs of high
+    degree.  Each code is checked against its radices when it is first made.
+
+    An element u is flattened once into entries (row of its h-word,
+    monomial m2, coefficient); the column of m * u then has the same
+    coefficients at the rows row + code(m * m2).  Multiplying by a fixed
+    monomial is injective on monomials, so no two entries of one flattened
+    element share a row.  The codes of the products m * m2 are memoized for
+    the lifetime of the builder, which is one search.
     """
 
-    def __init__(self):
-        self._products = {}
+    def __init__(self, elements, hdeg_bound, coeff_deg_bound, n):
+        terms = [(v, m) for s in elements for v, p in s.terms.items() for m in p.terms]
+        self._base = max(n, _infer_n(elements)) + 1
+        grow = self._hlen = hdeg_bound + max((len(v) for v, _ in terms), default=0)
+        top = max((len(v) + poisson.mono_deg(m) for v, m in terms), default=0)
+        self._deg = coeff_deg_bound + hdeg_bound + top
+        # a bracket lengthens one basis word by 1 and adds at most one factor
+        wlen = grow + max([coeff_deg_bound] + [len(w) for _, m in terms for w, _ in m])
+        factors = grow + coeff_deg_bound + max((len(m) for _, m in terms), default=0)
+        if self._base == 2:  # over one letter the only basis word is x1
+            wlen = factors = 1
+        self._wlen, self._factors = min(wlen, self._deg), min(factors, self._deg)
+        self._pair = self._base**self._wlen * (self._deg + 1)
+        self._mono = (self._deg + 1) * self._pair**self._factors
+        self._words, self._products = {}, {}
 
-    @staticmethod
-    def flatten(u, prefix=(), suffix=()):
-        """Entries of u; the h-word w gives the key part graded_lex_key(w + suffix)."""
+    def _digits(self, code, word, width):
+        if len(word) > width or (word and max(word) >= self._base):
+            raise ValueError(f"word {word} outside the builder's radices")
+        for a in word:
+            code = code * self._base + a
+        return code * self._base ** (width - len(word))
+
+    def _mono_code(self, m):
+        d = poisson.mono_deg(m)
+        if d > self._deg or len(m) > self._factors:
+            raise ValueError(f"monomial {m} outside the builder's radices")
+        code = d
+        for w, e in m:
+            wc = self._words.get(w)
+            if wc is None:
+                wc = self._words[w] = self._digits(0, w, self._wlen)
+            code = code * self._pair + wc * (self._deg + 1) + e
+        return code * self._pair ** (self._factors - len(m))
+
+    def _row(self, prefix, word):
+        code = self._digits(prefix * (self._hlen + 1) + len(word), word, self._hlen)
+        return code * self._mono
+
+    def key(self, prefix, word, mono):
+        """The row of (prefix, h-word, monomial)."""
+        return self._row(prefix, word) + self._mono_code(mono)
+
+    def flatten(self, u, prefix=0, suffix=()):
+        """Entries of u; the h-word w gives the row of (prefix, w + suffix)."""
         out = []
         for w, p in u.terms.items():
-            pre = prefix + (graded_lex_key(w + suffix),)
-            for m2, c in p.terms.items():
-                out.append((pre, m2, poisson.mono_deg(m2), c))
+            row = self._row(prefix, w + suffix)
+            out.extend((row, m2, c) for m2, c in p.terms.items())
         return out
 
     def shift(self, entries, m, col=None):
         """col (a new dict by default) with the entries of m * (flattened) added."""
         if col is None:
             col = {}
-        dm = poisson.mono_deg(m)
         products = self._products.setdefault(m, {})
-        for pre, m2, d2, c in entries:
-            mm = products.get(m2)
-            if mm is None:
-                mm = products[m2] = poisson.mono_mul(m, m2)
-            col[pre + ((dm + d2, mm),)] = c
+        for row, m2, c in entries:
+            code = products.get(m2)
+            if code is None:
+                code = products[m2] = self._mono_code(poisson.mono_mul(m, m2))
+            col[row + code] = c
         return col
 
 
@@ -265,11 +332,12 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     length at most hdeg_bound and the monomial degree at most
     coeff_deg_bound.  Exact rational elimination over that span either
     produces a witness (always verified) or refutes dependence within
-    the bounds.
+    the bounds.  Raises BudgetError, before enumerating anything, when
+    the span has more than BOX_BUDGET unknowns.
 
     Each h_w * s_r is computed once; the columns m * h_w * s_r for all
-    monomials m are then made by shifting its monomial keys
-    (ColumnBuilder), with row keys (graded_lex_key(word), (deg, mono)).
+    monomials m are then made by shifting its monomial codes
+    (ColumnBuilder), with the int rows of (word, (deg, mono)).
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -281,10 +349,12 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
             return _unit_witness(len(elements), r)
     if n is None:
         n = _infer_n(elements)
+    if len(elements) * box_size(n, hdeg_bound, coeff_deg_bound, BOX_BUDGET) > BOX_BUDGET:
+        raise BudgetError(f"the box ({hdeg_bound}, {coeff_deg_bound}) has over {BOX_BUDGET} unknowns")
 
     words = words_up_to(n, hdeg_bound)
     monos = monomials_up_to(n, coeff_deg_bound)
-    columns = ColumnBuilder()
+    columns = ColumnBuilder(elements, hdeg_bound, coeff_deg_bound, n)
     solver = SparseSolver()
     for r, s in enumerate(elements):
         for w in words:

@@ -24,7 +24,7 @@ import functools
 from fractions import Fraction
 
 from . import freelie, poisson
-from .core import graded_lex_key, mi_norm
+from .core import BudgetError, graded_lex_key, mi_norm
 from .env import Env, ham
 from .poisson import Poly
 from .symplectic import PnEnv, SPoly, Weyl, sp_bracket
@@ -43,10 +43,6 @@ class ParseError(Exception):
 
 class DomainError(Exception):
     pass
-
-
-class BudgetError(Exception):
-    """The input asks for more work than a budget allows."""
 
 
 def _linecol(src, pos):

@@ -158,6 +158,16 @@ def test_invert_non_automorphism_is_unknown():
         invert_jacobian_bounded(J, -1, 2)
 
 
+def test_invert_shrinks_the_box_by_counting():
+    # the shrink counts the box in closed form; enumerating (3, 24) used to
+    # exhaust the stack, and a bound far above the budget returns at once
+    J = jacobian(Endomorphism(2, [X1 * X1, X2]))
+    res = invert_jacobian_bounded(J, 3, 24, budget=2000)
+    assert (res.status, res.exhausted) == ("unknown", False)
+    res = invert_jacobian_bounded(J, 10**9, 10**9, budget=100)
+    assert (res.status, res.exhausted) == ("unknown", False)
+
+
 def test_pair_status_free():
     ps = pair_status(X1, X2)
     assert ps.status == "free"

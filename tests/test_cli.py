@@ -234,6 +234,13 @@ def test_golden_transcript():
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
+def test_oracle_over_budget_is_undecided():
+    # --coeff-bound 13 used to end in a RecursionError while enumerating
+    code, out, err = cap(["depend", "-n", "2", "--oracle", "--coeff-bound", "13", "h(x1)", "x2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("undecided:") and "Traceback" not in err
+
+
 def test_long_h_words_do_not_exhaust_the_stack():
     code, out, err = cap(["mul", "-n", "1", "*".join(["h(x1)"] * 1500), "x1"])
     assert code == 0 and "Traceback" not in err

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from freepoisson.core import graded_lex_key
+from freepoisson.core import BudgetError, graded_lex_key
 from freepoisson.depend import (
     ColumnBuilder,
+    box_size,
     StepBudgetExceeded,
     brute_force_dependence,
     composition,
@@ -179,34 +180,84 @@ def test_brute_force_dependence():
     assert brute_force_dependence([Env.from_poly(X1), Env.from_poly(X2)], 0, 1, n=2) is not None
 
 
-def shifted_by_products(u, m):
-    """Column of m * u through full Poly products, vectorized term by term."""
-    vec = {}
-    for w, p in u.terms.items():
-        for mm, c in (Poly({m: 1}) * p).terms.items():
-            vec[(graded_lex_key(w), (mono_deg(mm), mm))] = c
-    return vec
+def tuple_rows(u, m, prefix=(), suffix=()):
+    """Column of m * u through full Poly products, at the tuple keys
+    (prefix, graded_lex_key(word), (deg, mono)) whose order the int rows keep."""
+    return {
+        prefix + (graded_lex_key(w + suffix), (mono_deg(mm), mm)): c
+        for w, p in u.terms.items()
+        for mm, c in (Poly({m: 1}) * p).terms.items()
+    }
 
 
 def test_column_builder_matches_products():
     rng = random.Random(31)
-    monos = monomials_up_to(2, 4)
-    builder = ColumnBuilder()
-    for _ in range(40):
-        u = rand_env_nonzero(rng, 2, 3, 3, terms=rng.randint(1, 4))
-        flat = builder.flatten(u)
-        for m in rng.sample(monos, 6):
-            assert builder.shift(flat, m) == shifted_by_products(u, m)
-    # prefixes and word suffixes land in the keys, entries add to a given column
-    u = rand_env_nonzero(rng, 2, 2, 2, terms=3)
-    m = monos[-1]
-    col = builder.shift(builder.flatten(u, ("L", 1), (2, 1)), m, {"kept": 1})
-    want = {
-        ("L", 1, graded_lex_key(w + (2, 1)), (mono_deg(mm), mm)): c
-        for w, p in u.terms.items()
-        for mm, c in (Poly({m: 1}) * p).terms.items()
-    }
-    assert col == {"kept": 1, **want}
+    n, hb, cb = 2, 2, 4
+    monos = monomials_up_to(n, cb)
+    elements = [rand_env_nonzero(rng, n, 3, 3, terms=rng.randint(1, 4)) for _ in range(40)]
+    builder = ColumnBuilder(elements, hb, cb, n)
+    # the rows of brute_force_dependence, and those of _search_box with the
+    # prefixes ("L"|"R", i, j), i, j < 2, coded (side * 2 + i) * 2 + j
+    search_box = [
+        ((side, i, j), (k * 2 + i) * 2 + j)
+        for k, side in enumerate("LR")
+        for i in (0, 1)
+        for j in (0, 1)
+    ]
+    words = words_up_to(n, hb)
+    for prefixes in ([((), 0)], search_box):
+        rows = {}
+        for s in elements:
+            for prefix, code in rng.sample(prefixes, min(2, len(prefixes))):
+                w = rng.choice(words)
+                if prefix[:1] == ("R",):  # (s * m) * h_w, shifted by the empty monomial
+                    m = Poly({rng.choice(monos): 1})
+                    u, suffix, shifts = env_mul(s, Env.from_poly(m)), w, [()]
+                else:  # m * (h_w * s)
+                    u, suffix, shifts = env_mul(Env({w: Poly.one()}), s), (), rng.sample(monos, 6)
+                flat = builder.flatten(u, code, suffix)
+                for m in shifts:
+                    want = tuple_rows(u, m, prefix, suffix)
+                    keys = {k: builder.key(code, k[-2][1], k[-1][1]) for k in want}
+                    assert builder.shift(flat, m) == {keys[k]: c for k, c in want.items()}
+                    rows.update(keys)
+        # the int rows sort exactly like the tuple keys, and no two coincide
+        assert len(set(rows.values())) == len(rows) > 1500
+        assert [rows[k] for k in sorted(rows)] == sorted(rows.values())
+    # entries add to a given column
+    u, m = elements[0], monos[-1]
+    col = builder.shift(builder.flatten(u), m, {-1: 1})
+    assert col == {-1: 1, **builder.shift(builder.flatten(u), m)}
+
+
+def test_oracle_with_n_below_the_largest_letter():
+    # the row codes take their letters from the elements, not from n
+    system = [H2, Env({(2,): X1}), H1 * H2]
+    got = brute_force_dependence(system, 1, 1, n=1)
+    assert got == brute_force_dependence(system, 1, 1)
+    assert got == (Env.from_poly(-X1), Env.one(), Env.zero())
+    assert verify_witness(got, system)
+
+
+def test_box_size_counts_without_enumerating():
+    for n in (1, 2, 3):
+        for hb in (0, 1, 3):
+            for cb in (0, 2, 5):
+                size = len(words_up_to(n, hb)) * len(monomials_up_to(n, cb))
+                assert box_size(n, hb, cb, 10**6) == size
+                assert box_size(n, hb, cb, size) == size
+                assert box_size(n, hb, cb, size - 1) == size
+    assert box_size(2, 10**9, 10**9, 200_000) == 200_001
+    assert box_size(1, 10**9, 10**9, 200_000) == 200_001
+    assert len(monomials_up_to(2, 13)) == box_size(2, 0, 13, 10**6) == 2**14 - 1
+
+
+def test_oracle_budget():
+    # over budget before any enumeration; (2, 13) used to exhaust the stack
+    with pytest.raises(BudgetError):
+        brute_force_dependence([H1, Env.from_poly(X2)], 2, 13)
+    with pytest.raises(BudgetError):
+        brute_force_dependence([H1, H2], 10**9, 10**9)
 
 
 def test_corpus_loads():
