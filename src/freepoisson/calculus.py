@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import depend, poisson
-from .core import BudgetError
 from .env import Env, env_mul, ham, split
 from .linalg import SparseSolver
 from .poisson import Poly
@@ -302,7 +301,8 @@ def pair_status(f, g, max_steps=100_000):
 
     On the dependent branch produces lam, mu in P with
     lam * ham(f) = mu * ham(g) when such coefficients are found; the
-    general enveloping witness is always attached.
+    general enveloping witness is always attached.  Raises BudgetError
+    when the bounded search for lam, mu would exceed depend.BOX_BUDGET.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("pair_status requires nonzero inputs")
@@ -325,12 +325,9 @@ def pair_status(f, g, max_steps=100_000):
     if got is None:
         base = max(int(max(f.deg(), g.deg())), 1)
         for extra in (0, 2, 4):
-            try:
-                w = depend.brute_force_dependence(
-                    [hf, hg], 0, base + extra, n=depend._infer_n([hf, hg])
-                )
-            except BudgetError:
-                break
+            w = depend.brute_force_dependence(
+                [hf, hg], 0, base + extra, n=depend._infer_n([hf, hg])
+            )
             if w is not None:
                 got = try_pair(split(w[0])[0], -split(w[1])[0])
                 if got is not None:

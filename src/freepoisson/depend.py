@@ -248,10 +248,8 @@ class ColumnBuilder:
     deg m <= coeff_deg_bound, with letters up to n or the largest letter
     present.  Moving an h-letter past a coefficient brackets it with some
     x_j, which adds 1 to the degree, so no degree passes coeff_deg_bound +
-    hdeg_bound + max(deg p + |v|) over the terms p * h_v of s.  A bracket
-    also lengthens one basis word by 1 and adds at most one factor, which
-    bounds word lengths and factor counts more tightly for inputs of high
-    degree.  Each code is checked against its radices when it is first made.
+    hdeg_bound + max(deg p + |v|) over the terms p * h_v of s.  Each code
+    is checked against its radices when it is first made.
 
     An element u is flattened once into entries (row of its h-word,
     monomial m2, coefficient); the column of m * u then has the same
@@ -264,15 +262,12 @@ class ColumnBuilder:
     def __init__(self, elements, hdeg_bound, coeff_deg_bound, n):
         terms = [(v, m) for s in elements for v, p in s.terms.items() for m in p.terms]
         self._base = max(n, _infer_n(elements)) + 1
-        grow = self._hlen = hdeg_bound + max((len(v) for v, _ in terms), default=0)
+        self._hlen = hdeg_bound + max((len(v) for v, _ in terms), default=0)
         top = max((len(v) + poisson.mono_deg(m) for v, m in terms), default=0)
         self._deg = coeff_deg_bound + hdeg_bound + top
-        # a bracket lengthens one basis word by 1 and adds at most one factor
-        wlen = grow + max([coeff_deg_bound] + [len(w) for _, m in terms for w, _ in m])
-        factors = grow + coeff_deg_bound + max((len(m) for _, m in terms), default=0)
-        if self._base == 2:  # over one letter the only basis word is x1
-            wlen = factors = 1
-        self._wlen, self._factors = min(wlen, self._deg), min(factors, self._deg)
+        # a basis word's length and a monomial's factor count are at most its
+        # degree; over one letter the only basis word is x1
+        self._wlen = self._factors = 1 if self._base == 2 else self._deg
         self._pair = self._base**self._wlen * (self._deg + 1)
         self._mono = (self._deg + 1) * self._pair**self._factors
         self._words, self._products = {}, {}

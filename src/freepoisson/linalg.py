@@ -24,9 +24,6 @@ from .core import accumulate
 
 def _exact(vec):
     """A copy of vec with every entry a nonzero Fraction."""
-    values = vec.values()
-    if set(map(type, values)) == {Fraction} and all(values):
-        return dict(vec)
     return {k: c if isinstance(c, Fraction) else Fraction(c) for k, c in vec.items() if c}
 
 
