@@ -9,6 +9,7 @@ covers the Weyl-algebra embeddings and the Moyal star product, and
 `syntax` + `cli` expose everything through the `fpa` command.
 """
 
+from . import env, freelie
 from .core import Scalar, graded_lex_key, mi_factorial, mi_norm, mi_swap
 from .depend import (
     DependencyVerdict,
@@ -44,6 +45,19 @@ from .symplectic import (
     weyl_mul,
 )
 from .syntax import DomainError, ParseError, parse, parse_element, render
+
+
+def clear_caches():
+    """Empty the bracket cache of `freelie` and the ham cache of `env`.
+
+    Both caches only grow, and results do not depend on them.  Returns
+    their sizes before clearing, as {"bracket": int, "ham": int}.
+    """
+    sizes = {"bracket": len(freelie._BRACKET_CACHE), "ham": len(env._HAM_CACHE)}
+    freelie._BRACKET_CACHE.clear()
+    env._HAM_CACHE.clear()
+    return sizes
+
 
 __all__ = [
     "Scalar",
@@ -101,6 +115,7 @@ __all__ = [
     "parse",
     "parse_element",
     "render",
+    "clear_caches",
 ]
 
 __version__ = "0.1.0"

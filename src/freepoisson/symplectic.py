@@ -14,13 +14,20 @@ commute among themselves, as do the h's, and [h_{y_i}, x_i] = -1 and
 the relations of A_2n.  Coefficients-left, h's-right is X-before-Y normal
 order, so R is a renaming of keys with a sign (-1)^|gamma_x|, and
 pn_env_mul and the theta maps multiply through weyl_mul.
+
+weyl_mul is an integer kernel.  Each factor's coefficients are integer
+numerators over one common denominator, and each key (alpha, beta) is
+packed into one integer, its exponents being the digits in a base larger
+than any exponent of the product.  Reordering Y^b X^c then subtracts a
+fixed multiple of the code per reorder index, digits never carry, and all
+sums run in Python ints; one Fraction is built per output key.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from operator import add
+from operator import add, mul
 
 from .core import SCALARS, Terms, accumulate, mi_factorial, mi_norm, mi_swap
 
@@ -181,38 +188,81 @@ class Weyl(Terms):
         return f"Weyl({self.n}, {self.terms!r})"
 
 
+def _packed(w, place):
+    """(d, rows) for the Weyl element w: its coefficients as integer
+    numerators over their common denominator d, and per term the row
+    (code, a, b, X-mask, Y-mask, numerator), where the code of (a, b) is
+    sum_i a_i place[i] + b_i place[n+i] and bit i of a mask is set where
+    that exponent is nonzero."""
+    d = math.lcm(*(c.denominator for c in w.terms.values()))
+    rows = []
+    for (a, b), c in w.terms.items():
+        xmask = sum(1 << i for i, e in enumerate(a) if e)
+        ymask = sum(1 << i for i, e in enumerate(b) if e)
+        rows.append((sum(map(mul, a + b, place)), a, b, xmask, ymask, c.numerator * (d // c.denominator)))
+    return d, rows
+
+
 def weyl_mul(u, v):
     """Product renormalized to X-before-Y order.
 
     Uses Y^b X^c = sum_k (-1)^|k| k! C(b,k) C(c,k) X^(c-k) Y^(b-k),
     entrywise over the index k <= min(b, c).
+
+    The sums run in integers: each factor's coefficients become numerators
+    over its common denominator, and one Fraction is built per output key.
+    A key (a, b) is packed into the code sum_i a_i B^i + b_i B^(n+i) in
+    base B = 1 + E_u + E_v, where E is the largest single exponent in a
+    factor.  The term of X^a Y^b * X^c Y^d at index k has the code
+    code_u + code_v - sum_i k_i (B^i + B^(n+i)); every exponent of the
+    product lies in [0, E_u + E_v], so no digit carries and two terms have
+    the same code exactly when they have the same key.  A pair of terms
+    expands only along the variables where both b_i and c_i are nonzero,
+    with the weights (-1)^k k! C(b_i,k) C(c_i,k) tabulated once per call.
     """
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
     n = u.n
-
-    def terms():
-        for (a, b), c1 in u.terms.items():
-            for (cc, d), c2 in v.terms.items():
-                ranges = [range(min(b[i], cc[i]) + 1) for i in range(n)]
-                for k in itertools.product(*ranges):
-                    coeff = c1 * c2
-                    for i in range(n):
-                        ki = k[i]
-                        if ki:
-                            coeff *= (
-                                (-1) ** ki
-                                * math.factorial(ki)
-                                * math.comb(b[i], ki)
-                                * math.comb(cc[i], ki)
-                            )
-                    key = (
-                        tuple(a[i] + cc[i] - k[i] for i in range(n)),
-                        tuple(b[i] + d[i] - k[i] for i in range(n)),
-                    )
-                    yield key, coeff
-
-    return Weyl._make(accumulate({}, terms()), n)
+    if not u.terms or not v.terms:
+        return Weyl._make({}, n)
+    radix = 1 + sum(max(max(a + b, default=0) for a, b in w.terms) for w in (u, v))
+    place = [radix**i for i in range(2 * n)]
+    du, left = _packed(u, place)
+    dv, right = _packed(v, place)
+    weights = {}
+    acc = {}
+    get = acc.get
+    for code_u, _, b, _, ymask, nu in left:
+        for code_v, c, _, xmask, _, nv in right:
+            code, num = code_u + code_v, nu * nv
+            both = ymask & xmask
+            if not both:
+                acc[code] = get(code, 0) + num
+                continue
+            items = [(code, num)]
+            for i in range(n):
+                if both >> i & 1:
+                    key = (i, b[i], c[i])
+                    table = weights.get(key)
+                    if table is None:
+                        step = place[i] + place[n + i]
+                        table = weights[key] = [
+                            (k * step, (-1) ** k * math.factorial(k) * math.comb(b[i], k) * math.comb(c[i], k))
+                            for k in range(min(b[i], c[i]) + 1)
+                        ]
+                    items = [(p - s, x * w) for p, x in items for s, w in table]
+            for p, x in items:
+                acc[p] = get(p, 0) + x
+    den = du * dv
+    out = {}
+    for p, x in acc.items():
+        if x:
+            digits = []
+            for _ in range(2 * n):
+                p, r = divmod(p, radix)
+                digits.append(r)
+            out[tuple(digits[:n]), tuple(digits[n:])] = Fraction(x, den)
+    return Weyl._make(out, n)
 
 
 def symmetrize(f):

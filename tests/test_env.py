@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from freepoisson import clear_caches
 from freepoisson.env import (
     Env,
     commutator,
@@ -16,7 +17,7 @@ from freepoisson.env import (
     top,
     word_right_divides,
 )
-from freepoisson.freelie import Lie
+from freepoisson.freelie import Lie, lie_bracket
 from freepoisson.poisson import Poly, p_bracket
 from freepoisson.sampling import rand_env, rand_env_nonzero, rand_poly
 
@@ -80,6 +81,17 @@ def test_ham_is_a_derivation_into_commutators():
             Env.from_poly(p), ham(q)
         )
         assert ham(p_bracket(p, q)) == commutator(ham(p), ham(q))
+
+
+def test_clear_caches():
+    a, b = Lie({(1, 2): 1}), Lie({(1, 2, 2): 1})
+    p = X1 * X1 * E12 + X2
+    before = (lie_bracket(a, b), ham(p))
+    sizes = clear_caches()
+    assert sizes["bracket"] > 0 and sizes["ham"] > 0
+    assert clear_caches() == {"bracket": 0, "ham": 0}
+    assert (lie_bracket(a, b), ham(p)) == before
+    assert all(clear_caches().values())
 
 
 def test_leading_data():

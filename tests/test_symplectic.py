@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from freepoisson.symplectic import (
     theta_right,
     weyl_mul,
 )
-from freepoisson.sampling import rand_spoly, rand_weyl
+from freepoisson.sampling import rand_exponents, rand_spoly, rand_weyl
 
 X1 = SPoly.x(1, 1)
 Y1 = SPoly.y(1, 1)
@@ -88,6 +89,74 @@ def test_weyl_mul_is_associative():
         b = rand_weyl(rng, n, 2)
         c = rand_weyl(rng, n, 2)
         assert weyl_mul(weyl_mul(a, b), c) == weyl_mul(a, weyl_mul(b, c))
+
+
+def _act(w, p):
+    """w in A_m acting on p in k[t_1..t_m] (a dict exponent -> coefficient)
+    with X_i = d/dt_i and Y_i = t_i: X^a Y^b p = d^a (t^b p)."""
+    out = {}
+    for (a, b), c in w.terms.items():
+        for e, q in p.items():
+            e = [i + j for i, j in zip(e, b)]
+            coeff = c * q
+            for i, k in enumerate(a):
+                coeff *= math.perm(e[i], k)
+                e[i] -= k
+            if coeff:
+                out[tuple(e)] = out.get(tuple(e), 0) + coeff
+    return {e: c for e, c in out.items() if c}
+
+
+def _rand_weyl(rng, m, max_deg, dens, terms=3):
+    out = {}
+    for _ in range(terms):
+        key = (rand_exponents(rng, m, max_deg), rand_exponents(rng, m, max_deg))
+        out[key] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice(dens))
+    return Weyl(m, out)
+
+
+def _rand_t_poly(rng, m, max_deg, terms=4):
+    return {rand_exponents(rng, m, max_deg): Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])) for _ in range(terms)}
+
+
+def _unit(m, i, k):
+    """The exponent tuple of length m with k at the 1-based place i."""
+    return tuple(k if j == i else 0 for j in range(1, m + 1))
+
+
+def test_weyl_mul_matches_the_action_on_polynomials():
+    # (u*v).p == u.(v.p) for the action of A_m on k[t_1..t_m], which
+    # uses neither weyl_mul nor symmetrize
+    rng = random.Random(53)
+    cases = []
+    for m in (1, 2, 3):
+        for _ in range(12):
+            u = _rand_weyl(rng, m, 3, (1, 2, 4))
+            v = _rand_weyl(rng, m, 3, (3, 5, 7))
+            cases += [(u, v), (v, u)]
+        z = (0,) * m
+        cases += [
+            (Weyl.zero(m), _rand_weyl(rng, m, 3, (2, 3))),
+            (_rand_weyl(rng, m, 3, (2, 3)), Weyl.zero(m)),
+            (Weyl.one(m) * Fraction(-2, 3), _rand_weyl(rng, m, 3, (5,))),
+            (_rand_weyl(rng, m, 3, (5,)), Weyl.one(m) * Fraction(7, 2)),
+            # one term sets the radix: y_m^9 * x_m^9 beside low-degree terms
+            (
+                Weyl(m, {(z, _unit(m, m, 9)): 1, (_unit(m, 1, 1), z): Fraction(-1, 3)}),
+                Weyl(m, {(_unit(m, m, 9), z): 1, (z, _unit(m, 1, 2)): Fraction(2, 5)}),
+            ),
+        ]
+        # exponents of the product reach E_u + E_v = 18 in the top digits
+        top = (_unit(m, m, 9), _unit(m, m, 9))
+        u = Weyl(m, {top: 1, (_unit(m, 1, 1), z): Fraction(-1, 3), (z, z): Fraction(2, 7)})
+        v = Weyl(m, {top: -1, (z, _unit(m, 1, 2)): Fraction(2, 5), (z, z): -1})
+        assert max(max(a + b) for a, b in weyl_mul(u, v).terms) == 18
+        cases.append((u, v))
+    for u, v in cases:
+        m = u.n
+        tests = [_rand_t_poly(rng, m, 4), _rand_t_poly(rng, m, 12), {_unit(m, m, 20): Fraction(1, 3)}]
+        for p in tests:
+            assert _act(weyl_mul(u, v), p) == _act(u, _act(v, p)), (u, v, p)
 
 
 def test_symmetrize_known_values():
