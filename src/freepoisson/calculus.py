@@ -171,7 +171,12 @@ def _search_box(J, hb, cb, n_vars):
 
     The unknown (a, b, w, m) is the coefficient of m * h_w in V[a][b].  Its
     column holds m * (h_w * J[b][k]) at the rows ("L", a, k, word, mono)
-    and (J[i][a] * m) * h_w at the rows ("R", i, b, word, mono).
+    and (J[i][a] * m) * h_w at the rows ("R", i, b, word, mono).  The
+    columns are those of D*J, D the lcm of the coefficient denominators of
+    J (see depend.ColumnBuilder), so the right-hand side is D*I.  Each
+    h_w * D*J[b][k] is built once along the word trie, and each
+    D*J[i][a] * m is split into coded entries once and placed at the rows
+    of every suffix w.
     """
     n = J.n
 
@@ -180,15 +185,12 @@ def _search_box(J, hb, cb, n_vars):
 
     words = depend.words_up_to(n_vars, hb)
     monos = depend.monomials_up_to(n_vars, cb)
-    columns = depend.ColumnBuilder([u for row in J.entries for u in row], hb, cb, n_vars)
-    base_left = {
-        (b, k, w): env_mul(Env({w: Poly.one()}), J.entries[b][k])
-        for b in range(n)
-        for k in range(n)
-        for w in words
-    }
+    scale = depend.denominator_lcm(u for row in J.entries for u in row)
+    scaled = [[u * scale for u in row] for row in J.entries]
+    columns = depend.ColumnBuilder([u for row in scaled for u in row], hb, cb, n_vars)
+    base_left = [[dict(depend.h_word_products(u, words)) for u in row] for row in scaled]
     base_right = {
-        (i, a, m): env_mul(J.entries[i][a], Env.from_poly(Poly({m: 1})))
+        (i, a, m): columns.coded(env_mul(scaled[i][a], Env.from_poly(Poly({m: 1}))))
         for i in range(n)
         for a in range(n)
         for m in monos
@@ -201,16 +203,15 @@ def _search_box(J, hb, cb, n_vars):
                 left = [
                     e
                     for k in range(n)
-                    for e in columns.flatten(base_left[(b, k, w)], prefix(0, a, k))
+                    for e in columns.flatten(base_left[b][k][w], prefix(0, a, k))
                 ]
                 for m in monos:
                     col = columns.shift(left, m)
                     for i in range(n):
-                        right = columns.flatten(base_right[(i, a, m)], prefix(1, i, b), w)
-                        columns.shift(right, (), col)
+                        columns.place(base_right[(i, a, m)], prefix(1, i, b), w, col)
                     solver.add((a, b, w, m), col)
 
-    rhs = {columns.key(prefix(s, i, i), (), ()): Fraction(1) for s in (0, 1) for i in range(n)}
+    rhs = {columns.key(prefix(s, i, i), (), ()): scale for s in (0, 1) for i in range(n)}
     combo = solver.solve(rhs)
     if combo is None:
         return None

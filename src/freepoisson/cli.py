@@ -294,6 +294,13 @@ def _expressions_last(parser, argv):
     return [argv[0]] + options + ["--"] + positionals
 
 
+def _check_counts(args):
+    if args.command != "check" and args.n < 1:
+        raise DomainError(f"-n must be at least 1, got {args.n}")
+    if args.max_steps < 0:
+        raise DomainError(f"--max-steps must be nonnegative, got {args.max_steps}")
+
+
 def run(argv):
     parser = _build_parser()
     try:
@@ -302,6 +309,7 @@ def run(argv):
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        _check_counts(args)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ pairwise incomparable under right division.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -202,6 +203,15 @@ def monomials_up_to(n, max_deg):
     return [m for _, m in sorted(out)]
 
 
+def h_word_products(u, words):
+    """(w, h_w * u) for w in `words`, shortest first as words_up_to lists
+    them, each made as h_(w[0]) * (h_(w[1:]) * u) when it is reached."""
+    done = {}
+    for w in words:
+        done[w] = env_mul(Env.h_generator(w[0]), done[w[1:]]) if w else u
+        yield w, done[w]
+
+
 def box_size(n, max_len, max_deg, cap):
     """len(words_up_to(n, max_len)) * len(monomials_up_to(n, max_deg)) in
     closed form, or cap + 1 when that is larger than cap.
@@ -222,6 +232,10 @@ def box_size(n, max_len, max_deg, cap):
     return min(up_to(max_len) * up_to(max_deg), cap + 1)
 
 
+def _int(c):
+    return c.numerator if c.denominator == 1 else c
+
+
 def _infer_n(elements):
     n = 1
     for s in elements:
@@ -232,6 +246,11 @@ def _infer_n(elements):
                 for bw, _ in m:
                     n = max(n, max(bw))
     return n
+
+
+def denominator_lcm(elements):
+    """The lcm of the denominators of every coefficient of the Env elements."""
+    return math.lcm(*(c.denominator for s in elements for p in s.terms.values() for c in p.terms.values()))
 
 
 class ColumnBuilder:
@@ -256,7 +275,18 @@ class ColumnBuilder:
     coefficients at the rows row + code(m * m2).  Multiplying by a fixed
     monomial is injective on monomials, so no two entries of one flattened
     element share a row.  The codes of the products m * m2 are memoized for
-    the lifetime of the builder, which is one search.
+    the lifetime of the builder, which is one search.  `coded` and `place`
+    serve the other side, u * h_w for one u and many suffixes w: u is
+    split by h-word into (monomial code, coefficient) entries once, and
+    the row of each (prefix, h-word + suffix) is memoized.
+
+    The searches hand the builder the entries of their D-scaled system:
+    the elements multiplied by D, the lcm of their coefficient
+    denominators.  The bracket structure constants are integers, so every
+    product of a scaled element with an h-word or a monomial has integer
+    coefficients, and the builder emits them as ints (a coefficient that
+    is not integral stays a Fraction).  Scaling every column by D changes
+    no kernel.
     """
 
     def __init__(self, elements, hdeg_bound, coeff_deg_bound, n):
@@ -270,7 +300,7 @@ class ColumnBuilder:
         self._wlen = self._factors = 1 if self._base == 2 else self._deg
         self._pair = self._base**self._wlen * (self._deg + 1)
         self._mono = (self._deg + 1) * self._pair**self._factors
-        self._words, self._products = {}, {}
+        self._words, self._products, self._rows = {}, {}, {}
 
     def _digits(self, code, word, width):
         if len(word) > width or (word and max(word) >= self._base):
@@ -299,18 +329,32 @@ class ColumnBuilder:
         """The row of (prefix, h-word, monomial)."""
         return self._row(prefix, word) + self._mono_code(mono)
 
-    def flatten(self, u, prefix=0, suffix=()):
-        """Entries of u; the h-word w gives the row of (prefix, w + suffix)."""
+    def flatten(self, u, prefix=0):
+        """Entries of u, for `shift`; the h-word w gives the row of (prefix, w)."""
         out = []
         for w, p in u.terms.items():
-            row = self._row(prefix, w + suffix)
-            out.extend((row, m2, c) for m2, c in p.terms.items())
+            row = self._row(prefix, w)
+            out.extend((row, m2, _int(c)) for m2, c in p.terms.items())
         return out
 
-    def shift(self, entries, m, col=None):
-        """col (a new dict by default) with the entries of m * (flattened) added."""
-        if col is None:
-            col = {}
+    def coded(self, u):
+        """u as (h-word, [(monomial code, coefficient), ...]) pairs, for `place`."""
+        return [(w, [(self._mono_code(m), _int(c)) for m, c in p.terms.items()]) for w, p in u.terms.items()]
+
+    def place(self, coded, prefix, suffix, col):
+        """col with the entries of u * h_suffix added, u given by `coded(u)`."""
+        rows = self._rows
+        for w, entries in coded:
+            row = rows.get((prefix, w, suffix))
+            if row is None:
+                row = rows[prefix, w, suffix] = self._row(prefix, w + suffix)
+            for code, c in entries:
+                col[row + code] = c
+        return col
+
+    def shift(self, entries, m):
+        """A new column with the entries of m * (flattened)."""
+        col = {}
         products = self._products.setdefault(m, {})
         for row, m2, c in entries:
             code = products.get(m2)
@@ -330,9 +374,12 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     the bounds.  Raises BudgetError, before enumerating anything, when
     the span has more than BOX_BUDGET unknowns.
 
-    Each h_w * s_r is computed once; the columns m * h_w * s_r for all
-    monomials m are then made by shifting its monomial codes
-    (ColumnBuilder), with the int rows of (word, (deg, mono)).
+    The search runs on the D-scaled elements (see ColumnBuilder), which
+    have the same kernel.  Each h_w * s_r is computed once, as
+    h_(w[0]) * (h_(w[1:]) * s_r) along the word trie, and flattened once;
+    the columns m * h_w * s_r for all monomials m are then made by
+    shifting its monomial codes (ColumnBuilder), with the int rows of
+    (word, (deg, mono)).
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -349,11 +396,12 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
 
     words = words_up_to(n, hdeg_bound)
     monos = monomials_up_to(n, coeff_deg_bound)
+    scale = denominator_lcm(elements)
     columns = ColumnBuilder(elements, hdeg_bound, coeff_deg_bound, n)
     solver = SparseSolver()
     for r, s in enumerate(elements):
-        for w in words:
-            base = columns.flatten(env_mul(Env({w: Poly.one()}), s))
+        for w, base in h_word_products(s * scale, words):
+            base = columns.flatten(base)
             for m in monos:
                 kernel = solver.add((r, w, m), columns.shift(base, m))
                 if kernel is not None:

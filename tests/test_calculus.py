@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -135,6 +136,18 @@ def test_invert_triangular_map():
     )
     assert mat_mul(res.V, J) == identity_matrix(2)
     assert mat_mul(J, res.V) == identity_matrix(2)
+
+
+def test_invert_elementary_product_with_rational_entries():
+    # J = E12(u) E21(v) with u = 2/3 h(x1) and v = -5/7 x2 has the inverse
+    # E21(-v) E12(-u); the search runs on 21*J against the right side 21*I
+    one = Env.one()
+    u = Env({(1,): Poly.constant(Fraction(2, 3))})
+    v = Env.from_poly(Fraction(-5, 7) * X2)
+    J = EnvMatrix([[one + env_mul(u, v), u], [v, one]])
+    res = invert_jacobian_bounded(J, 3, 6)
+    assert res.status == "invertible" and res.exhausted
+    assert res.V == EnvMatrix([[one, -u], [-v, one + env_mul(v, u)]])
 
 
 def test_invert_random_tame_maps():

@@ -152,6 +152,12 @@ def test_out_of_range_inputs_are_domain_errors():
         ["depend", "-n", "2", "--oracle", "--hdeg-bound", "-1", "h(x1)"],
         ["jacobian", "-n", "2", "--invert", "--hdeg-bound", "-1", "x1", "x2+x1*[x1,x2]"],
         ["pair-status", "-n", "2", "0", "x1"],
+        ["moyal", "-n", "-1", "1", "1"],
+        ["weyl-mul", "-n", "-2", "1", "1"],
+        ["symmetrize", "-n", "-1", "1"],
+        ["mul", "-n", "0", "1", "1"],
+        ["depend", "-n", "1", "--max-steps", "-1", "h(x1)", "x1*h(x1)"],
+        ["pair-status", "-n", "1", "--max-steps", "-1", "x1", "x1^2"],
     ):
         code, out, err = cap(argv)
         assert code == 2 and out == "", argv

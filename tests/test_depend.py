@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from freepoisson.depend import (
     brute_force_dependence,
     composition,
     decide_left_dependence,
+    denominator_lcm,
     lambda_shift,
     load_corpus,
     monomials_up_to,
@@ -210,14 +212,18 @@ def test_column_builder_matches_products():
         for s in elements:
             for prefix, code in rng.sample(prefixes, min(2, len(prefixes))):
                 w = rng.choice(words)
-                if prefix[:1] == ("R",):  # (s * m) * h_w, shifted by the empty monomial
-                    m = Poly({rng.choice(monos): 1})
-                    u, suffix, shifts = env_mul(s, Env.from_poly(m)), w, [()]
-                else:  # m * (h_w * s)
-                    u, suffix, shifts = env_mul(Env({w: Poly.one()}), s), (), rng.sample(monos, 6)
-                flat = builder.flatten(u, code, suffix)
-                for m in shifts:
-                    want = tuple_rows(u, m, prefix, suffix)
+                if prefix[:1] == ("R",):  # (s * m) * h_w, placed at the suffix w
+                    u = env_mul(s, Env.from_poly(Poly({rng.choice(monos): 1})))
+                    want = tuple_rows(u, (), prefix, w)
+                    keys = {k: builder.key(code, k[-2][1], k[-1][1]) for k in want}
+                    got = builder.place(builder.coded(u), code, w, {})
+                    assert got == {keys[k]: c for k, c in want.items()}
+                    rows.update(keys)
+                    continue
+                u = env_mul(Env({w: Poly.one()}), s)  # m * (h_w * s)
+                flat = builder.flatten(u, code)
+                for m in rng.sample(monos, 6):
+                    want = tuple_rows(u, m, prefix)
                     keys = {k: builder.key(code, k[-2][1], k[-1][1]) for k in want}
                     assert builder.shift(flat, m) == {keys[k]: c for k, c in want.items()}
                     rows.update(keys)
@@ -225,9 +231,9 @@ def test_column_builder_matches_products():
         assert len(set(rows.values())) == len(rows) > 1500
         assert [rows[k] for k in sorted(rows)] == sorted(rows.values())
     # entries add to a given column
-    u, m = elements[0], monos[-1]
-    col = builder.shift(builder.flatten(u), m, {-1: 1})
-    assert col == {-1: 1, **builder.shift(builder.flatten(u), m)}
+    u = elements[0]
+    col = builder.place(builder.coded(u), 5, (1, 2), {-1: 1})
+    assert col == {-1: 1, **builder.place(builder.coded(u), 5, (1, 2), {})}
 
 
 def test_oracle_with_n_below_the_largest_letter():
@@ -237,6 +243,23 @@ def test_oracle_with_n_below_the_largest_letter():
     assert got == brute_force_dependence(system, 1, 1)
     assert got == (Env.from_poly(-X1), Env.one(), Env.zero())
     assert verify_witness(got, system)
+
+
+def test_oracle_witness_is_invariant_under_rational_scaling():
+    # the search runs on the elements times the lcm of their coefficient
+    # denominators; a common factor changes no kernel, so not the witness
+    n, system, label = load_corpus()[59]
+    assert label == "dependent"
+    want = brute_force_dependence(system, 4, 6, n=n)
+    assert want is not None
+    scaled = [Fraction(2, 3) * s for s in system]
+    assert (denominator_lcm(system), denominator_lcm(scaled)) == (1, 3)
+    assert brute_force_dependence(scaled, 4, 6, n=n) == want
+    assert verify_witness(want, scaled)
+    # different factors per element: another witness, still verified
+    mixed = [Fraction(c) * s for c, s in zip(("1/2", "-5/7", "3/4"), system)]
+    assert denominator_lcm(mixed) == 28
+    assert verify_witness(brute_force_dependence(mixed, 4, 6, n=n), mixed)
 
 
 def test_box_size_counts_without_enumerating():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -65,9 +66,12 @@ def test_int_and_fraction_inputs():
         got = [solver.add(i, {k: conv(v) for k, v in col.items()}) for i, col in enumerate(cols)]
         results.append(got)
         for piv_vec, piv_combo in solver.pivots.values():
-            assert all(type(v) is Fraction for v in piv_vec.values())
-            assert all(type(v) is Fraction for v in piv_combo.values())
+            # pivots are primitive int pairs: the gcd of all their entries is 1
+            entries = [*piv_vec.values(), *piv_combo.values()]
+            assert all(type(v) is int for v in entries)
+            assert math.gcd(*entries) == 1
     assert results[0] == results[1]
+    assert ints.pivots == fracs.pivots
     assert results[0][:2] == [None, None]
     kernel = results[0][2]
     assert kernel == {0: -1, 1: 3, 2: 1}
@@ -95,13 +99,21 @@ def test_rank_matches_dense_elimination():
                 col = combine(dict(enumerate(columns)), {a: rng.randint(-2, 2)})
                 col = combine({0: col, 1: columns[b]}, {0: 1, 1: Fraction(1, 3)})
             columns.append(col)
-        solver = SparseSolver()
-        independent = 0
-        for cid, col in enumerate(columns):
-            kernel = solver.add(cid, col)
-            if kernel is None:
-                independent += 1
-            else:
-                assert kernel[cid] == 1
-                assert combine(dict(enumerate(columns)), kernel) == {}
-        assert independent == len(solver.pivots) == dense_rank(columns, rows)
+        kernels = []
+        # scaling every column by the same nonzero rational changes no kernel
+        for scale in (1, Fraction(7, 3)):
+            scaled = [{r: scale * c for r, c in col.items()} for col in columns]
+            solver = SparseSolver()
+            independent = 0
+            got = []
+            for cid, col in enumerate(scaled):
+                kernel = solver.add(cid, col)
+                got.append(kernel)
+                if kernel is None:
+                    independent += 1
+                else:
+                    assert kernel[cid] == 1
+                    assert combine(dict(enumerate(scaled)), kernel) == {}
+            assert independent == len(solver.pivots) == dense_rank(scaled, rows)
+            kernels.append(got)
+        assert kernels[0] == kernels[1]
