@@ -310,6 +310,28 @@ def symmetrize_by_permutations(f):
     return out
 
 
+def _sub_indices(gamma):
+    return itertools.product(*(range(g + 1) for g in gamma))
+
+
+def rho_w_by_derivatives(f):
+    """The derivative series sum over gamma of d^gamma(f) h^gamma /
+    (gamma! 2^|gamma|): the reference for `rho_w`."""
+    gammas = _sub_indices(f.max_exponents())
+    return PnEnv(f.n, {g: f.derive_multi(g) * Fraction(1, mi_factorial(g) * 2 ** mi_norm(g)) for g in gammas})
+
+
+def moyal_by_derivatives(f, g):
+    """The derivative series sum over alpha of (-1)^|alpha_y| d^alpha(f)
+    d^(alpha*)(g) / (alpha! 2^|alpha|), alpha* being alpha with its x and y
+    halves swapped: the reference for `moyal`."""
+    n = f.n
+    out = SPoly.zero(n)
+    for a in _sub_indices(f.max_exponents()):
+        out = out + Fraction((-1) ** mi_norm(a[n:]), mi_factorial(a) * 2 ** mi_norm(a)) * f.derive_multi(a) * g.derive_multi(mi_swap(a))
+    return out
+
+
 def check_symmetrization(seed=1010):
     rng = random.Random(seed)
     failures = []
@@ -319,7 +341,7 @@ def check_symmetrization(seed=1010):
         w = symmetrize(f)
         if w != symmetrize_by_permutations(f):
             failures.append(f"closed form against the permutation average at element {t}")
-        if rho_w(f) != theta_left(w):
+        if not rho_w(f) == theta_left(w) == rho_w_by_derivatives(f):
             failures.append(f"factorization at element {t}")
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     expected = PnEnv(
@@ -334,10 +356,6 @@ def check_symmetrization(seed=1010):
     if rho_w(SPoly(1, {(1, 1): 1})) != expected:
         failures.append("worked value rho_w(x1*y1)")
     return _result("symmetrization", failures, "200 elements + worked value")
-
-
-def _sub_indices(gamma):
-    return itertools.product(*(range(g + 1) for g in gamma))
 
 
 def check_h_commutation(seed=1111):
@@ -376,6 +394,8 @@ def check_moyal(seed=1212):
         f = sampling.rand_spoly(rng, n, 4, terms=rng.randint(1, 2))
         g = sampling.rand_spoly(rng, n, 4, terms=rng.randint(1, 2))
         m = moyal(f, g)
+        if m != moyal_by_derivatives(f, g):
+            failures.append(f"derivative series at pair {t}")
         prod = pn_env_mul(rho_w(f), rho_w(g))
         if prod.p_part() != m:
             failures.append(f"constant term at pair {t}")

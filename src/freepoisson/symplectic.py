@@ -15,21 +15,28 @@ the relations of A_2n.  Coefficients-left, h's-right is X-before-Y normal
 order, so R is a renaming of keys with a sign (-1)^|gamma_x|, and
 pn_env_mul and the theta maps multiply through weyl_mul.
 
-weyl_mul is an integer kernel.  Each factor's coefficients are integer
-numerators over one common denominator, and each key (alpha, beta) is
-packed into one integer, its exponents being the digits in a base larger
-than any exponent of the product.  Reordering Y^b X^c then subtracts a
-fixed multiple of the code per reorder index, digits never carry, and all
-sums run in Python ints; one Fraction is built per output key.
+Every product here runs one integer contraction kernel, _contract, on two
+factors given as flat exponent vectors with integer numerators over one
+common denominator.  A vector is packed into one int, its exponents being
+the digits in base 1 + E_u + E_v (E: the largest exponent of a factor), so
+no digit carries.  A channel (i, j, lam) contracts exponent p at place i of
+the left factor against q at place j of the right: its index k lowers both
+by k, which subtracts a fixed multiple of the code, with the weight
+lam^k k! C(p,k) C(q,k).  weyl_mul has one channel per variable, Y_i
+against X_i with lam = -1; moyal has two, x_i against y_i with lam = 1/2
+and y_i against x_i with lam = -1/2; pn_env_mul runs weyl_mul's channels
+on R(u) and R(v).  A product code is decoded once, each distinct half of
+it (the X and the Y exponents) once per call, straight into the keys the
+caller returns, with one Fraction per output key.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from operator import add, mul
+from operator import add, mul, sub
 
-from .core import SCALARS, Terms, accumulate, mi_factorial, mi_norm, mi_swap
+from .core import SCALARS, Terms, accumulate
 
 
 def _zero_mi(n2):
@@ -188,81 +195,98 @@ class Weyl(Terms):
         return f"Weyl({self.n}, {self.terms!r})"
 
 
-def _packed(w, place):
-    """(d, rows) for the Weyl element w: its coefficients as integer
-    numerators over their common denominator d, and per term the row
-    (code, a, b, X-mask, Y-mask, numerator), where the code of (a, b) is
-    sum_i a_i place[i] + b_i place[n+i] and bit i of a mask is set where
-    that exponent is nonzero."""
-    d = math.lcm(*(c.denominator for c in w.terms.values()))
-    rows = []
-    for (a, b), c in w.terms.items():
-        xmask = sum(1 << i for i, e in enumerate(a) if e)
-        ymask = sum(1 << i for i, e in enumerate(b) if e)
-        rows.append((sum(map(mul, a + b, place)), a, b, xmask, ymask, c.numerator * (d // c.denominator)))
-    return d, rows
+def _rows(terms, place, positions):
+    """(d, rows): per term (vector e, Fraction c) the row (code, mask, e,
+    numerator over d), d the common denominator; bit k of the mask is set
+    where e[positions[k]] is nonzero."""
+    d = math.lcm(*(c.denominator for _, c in terms))
+    bits = [1 << k for k in range(len(positions))]
+    return d, [
+        (sum(map(mul, e, place)), sum(itertools.compress(bits, map(e.__getitem__, positions))), e, c.numerator * (d // c.denominator))
+        for e, c in terms
+    ]
+
+
+def _contract(u, v, channels):
+    """(radix, den, acc): u and v, lists of (vector, Fraction), contracted
+    along the channels (i, j, lam), acc mapping each product code to its
+    numerator over den.  Channel c lowers its pair at most
+    K_c = min(E_u[i], E_v[j]) times, so its weights are integers over
+    lam_den^K_c; a pair of terms expands only along the channels where both
+    exponents are nonzero, with the weights tabulated once per call."""
+    if not u or not v:
+        return 1, 1, {}
+    zero = (0,) * len(u[0][0])
+    top_u, top_v = (list(map(max, zero, *(e for e, _ in w))) for w in (u, v))
+    radix = 1 + max(top_u) + max(top_v)
+    place = [radix**t for t in range(len(top_u))]
+    du, left = _rows(u, place, [i for i, _, _ in channels])
+    dv, right = _rows(v, place, [j for _, j, _ in channels])
+    bound = [min(top_u[i], top_v[j]) for i, j, _ in channels]
+    scale = [lam.denominator**k for (_, _, lam), k in zip(channels, bound)]
+    full = math.prod(scale)
+    weights, rest, acc = {}, {}, {}
+    get = acc.get
+    for code_u, umask, a, nu in left:
+        for code_v, vmask, b, nv in right:
+            code, num = code_u + code_v, nu * nv
+            both = umask & vmask
+            if not both:
+                acc[code] = get(code, 0) + num * full
+                continue
+            r = rest.get(both)
+            if r is None:
+                r = rest[both] = math.prod(s for c, s in enumerate(scale) if not both >> c & 1)
+            items = [(code, num * r)]
+            for c, (i, j, lam) in enumerate(channels):
+                if both >> c & 1:
+                    key = (c, a[i], b[j])
+                    table = weights.get(key)
+                    if table is None:
+                        p, q, step = a[i], b[j], place[i] + place[j]
+                        table = weights[key] = [
+                            (k * step, lam.numerator**k * lam.denominator ** (bound[c] - k) * math.factorial(k) * math.comb(p, k) * math.comb(q, k))
+                            for k in range(min(p, q) + 1)
+                        ]
+                    items = [(z - s, x * w) for z, x in items for s, w in table]
+            for z, x in items:
+                acc[z] = get(z, 0) + x
+    return radix, du * dv * full, acc
+
+
+def _halves(acc, radix, size, high=tuple):
+    """(low, high(rest), x) for each nonzero numerator x of acc: low is the
+    tuple of the first size digits of the code and rest the list of the
+    next size.  Each distinct half is decoded once per call."""
+    split, places = radix**size, [radix**t for t in range(size)]
+    lows, highs = {}, {}
+    for p, x in acc.items():
+        if x:
+            hi, lo = divmod(p, split)
+            a = lows.get(lo)
+            if a is None:
+                a = lows[lo] = tuple([lo // t % radix for t in places])
+            b = highs.get(hi)
+            if b is None:
+                b = highs[hi] = high([hi // t % radix for t in places])
+            yield a, b, x
+
+
+def _weyl_contract(u, v):
+    """_contract on two elements of A_m, Y_i against X_i with lam = -1."""
+    m = u.n
+    flat = [[(a + b, c) for (a, b), c in w.terms.items()] for w in (u, v)]
+    return _contract(*flat, [(m + i, i, -1) for i in range(m)])
 
 
 def weyl_mul(u, v):
-    """Product renormalized to X-before-Y order.
-
-    Uses Y^b X^c = sum_k (-1)^|k| k! C(b,k) C(c,k) X^(c-k) Y^(b-k),
-    entrywise over the index k <= min(b, c).
-
-    The sums run in integers: each factor's coefficients become numerators
-    over its common denominator, and one Fraction is built per output key.
-    A key (a, b) is packed into the code sum_i a_i B^i + b_i B^(n+i) in
-    base B = 1 + E_u + E_v, where E is the largest single exponent in a
-    factor.  The term of X^a Y^b * X^c Y^d at index k has the code
-    code_u + code_v - sum_i k_i (B^i + B^(n+i)); every exponent of the
-    product lies in [0, E_u + E_v], so no digit carries and two terms have
-    the same code exactly when they have the same key.  A pair of terms
-    expands only along the variables where both b_i and c_i are nonzero,
-    with the weights (-1)^k k! C(b_i,k) C(c_i,k) tabulated once per call.
-    """
+    """Product renormalized to X-before-Y order, by
+    Y^b X^c = sum_k (-1)^|k| k! C(b,k) C(c,k) X^(c-k) Y^(b-k)."""
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
     n = u.n
-    if not u.terms or not v.terms:
-        return Weyl._make({}, n)
-    radix = 1 + sum(max(max(a + b, default=0) for a, b in w.terms) for w in (u, v))
-    place = [radix**i for i in range(2 * n)]
-    du, left = _packed(u, place)
-    dv, right = _packed(v, place)
-    weights = {}
-    acc = {}
-    get = acc.get
-    for code_u, _, b, _, ymask, nu in left:
-        for code_v, c, _, xmask, _, nv in right:
-            code, num = code_u + code_v, nu * nv
-            both = ymask & xmask
-            if not both:
-                acc[code] = get(code, 0) + num
-                continue
-            items = [(code, num)]
-            for i in range(n):
-                if both >> i & 1:
-                    key = (i, b[i], c[i])
-                    table = weights.get(key)
-                    if table is None:
-                        step = place[i] + place[n + i]
-                        table = weights[key] = [
-                            (k * step, (-1) ** k * math.factorial(k) * math.comb(b[i], k) * math.comb(c[i], k))
-                            for k in range(min(b[i], c[i]) + 1)
-                        ]
-                    items = [(p - s, x * w) for p, x in items for s, w in table]
-            for p, x in items:
-                acc[p] = get(p, 0) + x
-    den = du * dv
-    out = {}
-    for p, x in acc.items():
-        if x:
-            digits = []
-            for _ in range(2 * n):
-                p, r = divmod(p, radix)
-                digits.append(r)
-            out[tuple(digits[:n]), tuple(digits[n:])] = Fraction(x, den)
-    return Weyl._make(out, n)
+    radix, den, acc = _weyl_contract(u, v)
+    return Weyl._make({(a, b): Fraction(x, den) for a, b, x in _halves(acc, radix, n)}, n)
 
 
 def symmetrize(f):
@@ -373,10 +397,17 @@ def _from_weyl(a, n):
 
 
 def pn_env_mul(u, v):
-    """Product in the symplectic enveloping algebra, canonical form."""
+    """Product in the symplectic enveloping algebra, canonical form: the
+    Weyl kernel on R(u) and R(v) in A_2n, each product code decoded straight
+    into its h-index, sign and coefficient key."""
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
-    return _from_weyl(weyl_mul(_to_weyl(u), _to_weyl(v)), u.n)
+    n = u.n
+    radix, den, acc = _weyl_contract(_to_weyl(u), _to_weyl(v))
+    out = {}
+    for e, (g, odd), x in _halves(acc, radix, 2 * n, lambda b: (tuple(b[n:] + b[:n]), sum(b[n:]) % 2)):
+        out.setdefault(g, {})[e] = Fraction(-x if odd else x, den)
+    return PnEnv._make({g: SPoly._make(t, n) for g, t in out.items()}, n)
 
 
 def pn_commutator(a, b):
@@ -417,36 +448,26 @@ def theta_right(a):
     return _theta(a, -1)
 
 
-def _multi_indices_bounded(bounds):
-    return itertools.product(*[range(b + 1) for b in bounds])
-
-
 def rho_w(f):
-    """Closed form of theta_left(symmetrize(f)):
-    sum over gamma of  d^gamma(f) h^gamma / (gamma! 2^|gamma|)."""
+    """Closed form of theta_left(symmetrize(f)): the term c x^e gives
+    sum over gamma <= e of c prod_i C(e_i, gamma_i) 2^-|gamma| x^(e-gamma) h^gamma.
+    Distinct (e, gamma) give distinct keys, so each term is built once."""
     out = {}
-    for gamma in _multi_indices_bounded(f.max_exponents()):
-        df = f.derive_multi(gamma)
-        if not df.is_zero():
-            out[gamma] = df * (Fraction(1) / (mi_factorial(gamma) * 2 ** mi_norm(gamma)))
-    return PnEnv._make(out, f.n)
+    for e, c in f.terms.items():
+        for gamma in itertools.product(*(range(k + 1) for k in e)):
+            w = c.numerator * math.prod(map(math.comb, e, gamma))
+            out.setdefault(gamma, {})[tuple(map(sub, e, gamma))] = Fraction(w, c.denominator << sum(gamma))
+    return PnEnv._make({g: SPoly._make(t, f.n) for g, t in out.items()}, f.n)
 
 
 def moyal(f, g):
-    """Moyal product:
-    sum over alpha of (-1)^|alpha_2| d^alpha(f) d^(alpha*)(g) / (alpha! 2^|alpha|)."""
+    """Moyal product: the contraction kernel on f and g with two channels
+    per variable, x_i of f against y_i of g with lam = 1/2 and y_i of f
+    against x_i of g with lam = -1/2."""
     if f.n != g.n:
         raise ValueError("mismatched variable counts")
     n = f.n
-    out = {}
-    for alpha in _multi_indices_bounded(f.max_exponents()):
-        df = f.derive_multi(alpha)
-        if df.is_zero():
-            continue
-        dg = g.derive_multi(mi_swap(alpha))
-        if dg.is_zero():
-            continue
-        a2 = mi_norm(alpha[n:])
-        scale = Fraction((-1) ** a2) / (mi_factorial(alpha) * 2 ** mi_norm(alpha))
-        accumulate(out, (df * dg).terms.items(), scale)
-    return SPoly._make(out, n)
+    half = Fraction(1, 2)
+    channels = [(i, n + i, half) for i in range(n)] + [(n + i, i, -half) for i in range(n)]
+    radix, den, acc = _contract(list(f.terms.items()), list(g.terms.items()), channels)
+    return SPoly._make({e: Fraction(x, den) for e, _, x in _halves(acc, radix, 2 * n)}, n)

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from freepoisson.checks import symmetrize_by_permutations
+from freepoisson.checks import moyal_by_derivatives, rho_w_by_derivatives, symmetrize_by_permutations
 from freepoisson.symplectic import (
     PnEnv,
     SPoly,
@@ -325,3 +325,72 @@ def test_moyal_is_associative():
         g = rand_spoly(rng, n, 3)
         h = rand_spoly(rng, n, 2)
         assert moyal(moyal(f, g), h) == moyal(f, moyal(g, h))
+
+
+def _rand_sp(rng, n, max_deg, dens, terms=3):
+    return SPoly(n, {rand_exponents(rng, 2 * n, max_deg): Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice(dens)) for _ in range(terms)})
+
+
+def _sp_cases(rng):
+    """Seeded pairs for the symplectic kernels: n <= 2, degree <= 6,
+    distinct denominators, zero and constant factors, and pure-x by pure-y
+    pairs whose exponents all contract fully."""
+    cases = []
+    for n in (1, 2):
+        for _ in range(10):
+            cases.append((_rand_sp(rng, n, 6, (1, 2, 4)), _rand_sp(rng, n, 6, (3, 5, 7))))
+        cases += [
+            (SPoly.zero(n), _rand_sp(rng, n, 4, (3,))),
+            (_rand_sp(rng, n, 4, (3,)), SPoly.zero(n)),
+            (SPoly.constant(n, Fraction(-2, 3)), _rand_sp(rng, n, 5, (5,))),
+            (_rand_sp(rng, n, 5, (5,)), SPoly.constant(n, Fraction(7, 2))),
+        ]
+        for k in (1, 3, 6):
+            x, y = _unit(2 * n, 1, k), _unit(2 * n, n + 1, k)
+            cases += [(SPoly(n, {x: Fraction(2, 3)}), SPoly(n, {y: Fraction(-5, 7)}))]
+            cases += [(SPoly(n, {y: Fraction(1, 5)}), SPoly(n, {x: 3, (0,) * 2 * n: Fraction(1, 2)}))]
+        if n == 2:
+            cases += [(SPoly(n, {(3, 3, 0, 0): Fraction(1, 3)}), SPoly(n, {(0, 0, 3, 3): Fraction(3, 4)}))]
+    return cases
+
+
+def test_rho_w_matches_the_derivative_series_and_the_permutation_average():
+    rng = random.Random(59)
+    for f, g in _sp_cases(rng):
+        for h in (f, g):
+            assert rho_w(h) == rho_w_by_derivatives(h) == theta_left(symmetrize_by_permutations(h)), h
+
+
+def test_moyal_matches_the_derivative_series():
+    rng = random.Random(61)
+    for f, g in _sp_cases(rng):
+        assert moyal(f, g) == moyal_by_derivatives(f, g), (f, g)
+        assert moyal(g, f) == moyal_by_derivatives(g, f), (g, f)
+    # full contraction: x1^k * y1^k reaches the constant k!/2^k
+    for k in range(7):
+        star = moyal(SPoly(1, {(k, 0): 1}), SPoly(1, {(0, k): 1}))
+        assert star.constant_value() == Fraction(math.factorial(k), 2**k)
+
+
+def _act_pn(u, p):
+    """u in P_n^e acting on p in P_n, by derivatives of SPoly alone: a
+    coefficient multiplies, h_{x_i} is d/dy_i and h_{y_i} is -d/dx_i."""
+    n = u.n
+    out = SPoly.zero(n)
+    for g, c in u.terms.items():
+        out = out + (-1) ** sum(g[n:]) * c * p.derive_multi(g[n:] + g[:n])
+    return out
+
+
+def test_pn_env_mul_matches_the_series_and_the_action_on_polynomials():
+    rng = random.Random(67)
+    for f, g in _sp_cases(rng):
+        prod = pn_env_mul(rho_w(f), rho_w(g))
+        assert prod == rho_w_by_derivatives(moyal_by_derivatives(f, g)), (f, g)
+    for n in (1, 2):
+        tests = [_rand_sp(rng, n, 8, (1, 3)) for _ in range(3)] + [SPoly(n, {(7,) * 2 * n: 1})]
+        for _ in range(12):
+            u = PnEnv(n, {rand_exponents(rng, 2 * n, 3): _rand_sp(rng, n, 3, (1, 2, 4)) for _ in range(3)})
+            v = PnEnv(n, {rand_exponents(rng, 2 * n, 3): _rand_sp(rng, n, 3, (3, 5)) for _ in range(3)})
+            for p in tests:
+                assert _act_pn(pn_env_mul(u, v), p) == _act_pn(u, _act_pn(v, p)), (u, v, p)
