@@ -7,14 +7,6 @@ coefficients on the left of commuting h-generators indexed by a length-2n
 multi-index, with h_{x_i} q = q h_{x_i} + dq/dy_i and
 h_{y_i} q = q h_{y_i} - dq/dx_i.
 
-P_n^e is the Weyl algebra A_2n.  The signed relabeling R sends x_i, y_i,
-h_{y_i} and h_{x_i} to X_i, X_(n+i), Y_i and -Y_(n+i): the x's and y's
-commute among themselves, as do the h's, and [h_{y_i}, x_i] = -1 and
-[h_{x_i}, y_i] = 1 become [Y_i, X_i] = -1 and [-Y_(n+i), X_(n+i)] = 1,
-the relations of A_2n.  Coefficients-left, h's-right is X-before-Y normal
-order, so R is a renaming of keys with a sign (-1)^|gamma_x|, and
-pn_env_mul and the theta maps multiply through weyl_mul.
-
 Every product here runs one integer contraction kernel, _contract, on two
 factors given as flat exponent vectors with integer numerators over one
 common denominator.  A vector is packed into one int, its exponents being
@@ -24,10 +16,13 @@ the left factor against q at place j of the right: its index k lowers both
 by k, which subtracts a fixed multiple of the code, with the weight
 lam^k k! C(p,k) C(q,k).  weyl_mul has one channel per variable, Y_i
 against X_i with lam = -1; moyal has two, x_i against y_i with lam = 1/2
-and y_i against x_i with lam = -1/2; pn_env_mul runs weyl_mul's channels
-on R(u) and R(v).  A product code is decoded once, each distinct half of
-it (the X and the Y exponents) once per call, straight into the keys the
-caller returns, with one Fraction per output key.
+and y_i against x_i with lam = -1/2; pn_env_mul has two on the vectors
+(coefficient exponents, h-index), h_{x_i} against y_i with lam = 1 and
+h_{y_i} against x_i with lam = -1, so P_n^e multiplies as the Weyl
+algebra A_2n.  The theta maps are closed forms with no product at all.
+A product code is decoded once, each distinct half of it once per call,
+straight into the keys the caller returns, with one Fraction per output
+key.
 """
 
 import itertools
@@ -213,7 +208,8 @@ def _contract(u, v, channels):
     numerator over den.  Channel c lowers its pair at most
     K_c = min(E_u[i], E_v[j]) times, so its weights are integers over
     lam_den^K_c; a pair of terms expands only along the channels where both
-    exponents are nonzero, with the weights tabulated once per call."""
+    exponents are nonzero, found once per mask, with the weights tabulated
+    once per call."""
     if not u or not v:
         return 1, 1, {}
     zero = (0,) * len(u[0][0])
@@ -225,7 +221,7 @@ def _contract(u, v, channels):
     bound = [min(top_u[i], top_v[j]) for i, j, _ in channels]
     scale = [lam.denominator**k for (_, _, lam), k in zip(channels, bound)]
     full = math.prod(scale)
-    weights, rest, acc = {}, {}, {}
+    weights, fired, acc = {}, {}, {}
     get = acc.get
     for code_u, umask, a, nu in left:
         for code_v, vmask, b, nv in right:
@@ -234,59 +230,53 @@ def _contract(u, v, channels):
             if not both:
                 acc[code] = get(code, 0) + num * full
                 continue
-            r = rest.get(both)
-            if r is None:
-                r = rest[both] = math.prod(s for c, s in enumerate(scale) if not both >> c & 1)
-            items = [(code, num * r)]
-            for c, (i, j, lam) in enumerate(channels):
-                if both >> c & 1:
-                    key = (c, a[i], b[j])
-                    table = weights.get(key)
-                    if table is None:
-                        p, q, step = a[i], b[j], place[i] + place[j]
-                        table = weights[key] = [
-                            (k * step, lam.numerator**k * lam.denominator ** (bound[c] - k) * math.factorial(k) * math.comb(p, k) * math.comb(q, k))
-                            for k in range(min(p, q) + 1)
-                        ]
-                    items = [(z - s, x * w) for z, x in items for s, w in table]
+            f = fired.get(both)
+            if f is None:
+                on = [c for c in range(len(channels)) if both >> c & 1]
+                f = fired[both] = (math.prod(s for c, s in enumerate(scale) if c not in on), [(c, *channels[c]) for c in on])
+            items = [(code, num * f[0])]
+            for c, i, j, lam in f[1]:
+                key = (c, a[i], b[j])
+                table = weights.get(key)
+                if table is None:
+                    p, q, step = a[i], b[j], place[i] + place[j]
+                    table = weights[key] = [
+                        (k * step, lam.numerator**k * lam.denominator ** (bound[c] - k) * math.factorial(k) * math.comb(p, k) * math.comb(q, k))
+                        for k in range(min(p, q) + 1)
+                    ]
+                items = [(z - s, x * w) for z, x in items for s, w in table]
             for z, x in items:
                 acc[z] = get(z, 0) + x
     return radix, du * dv * full, acc
 
 
-def _halves(acc, radix, size, high=tuple):
-    """(low, high(rest), x) for each nonzero numerator x of acc: low is the
-    tuple of the first size digits of the code and rest the list of the
-    next size.  Each distinct half is decoded once per call."""
+def _decode(radix, den, acc, size):
+    """{high: {low: x/den}} over the nonzero numerators x of acc, low being
+    the tuple of the first size digits of a code and high that of the next
+    size.  Each distinct half is decoded once per call, and each output key
+    gets one Fraction."""
     split, places = radix**size, [radix**t for t in range(size)]
-    lows, highs = {}, {}
+    lows, rows = {}, {}
     for p, x in acc.items():
         if x:
             hi, lo = divmod(p, split)
             a = lows.get(lo)
             if a is None:
                 a = lows[lo] = tuple([lo // t % radix for t in places])
-            b = highs.get(hi)
-            if b is None:
-                b = highs[hi] = high([hi // t % radix for t in places])
-            yield a, b, x
-
-
-def _weyl_contract(u, v):
-    """_contract on two elements of A_m, Y_i against X_i with lam = -1."""
-    m = u.n
-    flat = [[(a + b, c) for (a, b), c in w.terms.items()] for w in (u, v)]
-    return _contract(*flat, [(m + i, i, -1) for i in range(m)])
+            rows.setdefault(hi, {})[a] = Fraction(x, den)
+    return {tuple([hi // t % radix for t in places]): row for hi, row in rows.items()}
 
 
 def weyl_mul(u, v):
     """Product renormalized to X-before-Y order, by
-    Y^b X^c = sum_k (-1)^|k| k! C(b,k) C(c,k) X^(c-k) Y^(b-k)."""
+    Y^b X^c = sum_k (-1)^|k| k! C(b,k) C(c,k) X^(c-k) Y^(b-k): the kernel
+    with Y_i of u against X_i of v, lam = -1."""
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
     n = u.n
-    radix, den, acc = _weyl_contract(u, v)
-    return Weyl._make({(a, b): Fraction(x, den) for a, b, x in _halves(acc, radix, n)}, n)
+    flat = [[(a + b, c) for (a, b), c in w.terms.items()] for w in (u, v)]
+    rows = _decode(*_contract(*flat, [(n + i, i, -1) for i in range(n)]), n)
+    return Weyl._make({(a, b): x for b, row in rows.items() for a, x in row.items()}, n)
 
 
 def symmetrize(f):
@@ -381,58 +371,69 @@ class PnEnv(Terms):
         return f"PnEnv({self.n}, {self.terms!r})"
 
 
-def _to_weyl(u):
-    """R(u) in A_2n: c*x^a y^b*h_x^gx h_y^gy -> (-1)^|gx| c*X^(a,b) Y^(gy,gx)."""
-    n = u.n
-    terms = {(e, g[n:] + g[:n]): -c if sum(g[:n]) % 2 else c for g, p in u.terms.items() for e, c in p.terms.items()}
-    return Weyl._make(terms, 2 * n)
-
-
-def _from_weyl(a, n):
-    """The element u of P_n^e with R(u) = a."""
-    out = {}
-    for (e, b), c in a.terms.items():
-        out.setdefault(b[n:] + b[:n], {})[e] = -c if sum(b[n:]) % 2 else c
-    return PnEnv._make({g: SPoly._make(t, n) for g, t in out.items()}, n)
+def _pn_env(radix, den, acc, n):
+    """The element of P_n^e with x/den at each code of acc over (e, g)."""
+    return PnEnv._make({g: SPoly._make(t, n) for g, t in _decode(radix, den, acc, 2 * n).items()}, n)
 
 
 def pn_env_mul(u, v):
     """Product in the symplectic enveloping algebra, canonical form: the
-    Weyl kernel on R(u) and R(v) in A_2n, each product code decoded straight
-    into its h-index, sign and coefficient key."""
+    kernel on the vectors (e, g) of the terms, with h_{x_i} of u against
+    y_i of v, lam = 1, and h_{y_i} of u against x_i of v, lam = -1."""
     if u.n != v.n:
         raise ValueError("mismatched variable counts")
     n = u.n
-    radix, den, acc = _weyl_contract(_to_weyl(u), _to_weyl(v))
-    out = {}
-    for e, (g, odd), x in _halves(acc, radix, 2 * n, lambda b: (tuple(b[n:] + b[:n]), sum(b[n:]) % 2)):
-        out.setdefault(g, {})[e] = Fraction(-x if odd else x, den)
-    return PnEnv._make({g: SPoly._make(t, n) for g, t in out.items()}, n)
+    flat = [[(e + g, c) for g, p in w.terms.items() for e, c in p.terms.items()] for w in (u, v)]
+    channels = [(2 * n + i, n + i, 1) for i in range(n)] + [(3 * n + i, i, -1) for i in range(n)]
+    return _pn_env(*_contract(*flat, channels), n)
 
 
 def pn_commutator(a, b):
     return pn_env_mul(a, b) - pn_env_mul(b, a)
 
 
+def _theta_factor(p, q, sign):
+    """Terms ((x, y, h_x, h_y), w) of the image of X^p Y^q in one variable,
+    w an integer over 2^(p+q).  For sign 1 the image is
+    (x + h_x/2)^p (y + h_y/2)^q: each half is in normal order by the
+    binomial theorem, as x commutes with h_x and y with h_y, and h_x^g
+    passes y^m by h_x^g y^m = sum_k k! C(g,k) C(m,k) y^(m-k) h_x^(g-k).
+    For sign -1 it is (y - h_y/2)^q (x - h_x/2)^p, where h_y^d passes x^m
+    with a sign (-1)^k: the terms of sign 1 with x and y swapped, times -1
+    to the h-degree."""
+    if sign < 0:
+        return [((b, a, hb, ha), -w if (ha + hb) % 2 else w) for (a, b, ha, hb), w in _theta_factor(q, p, 1)]
+    out = []
+    for g, d in itertools.product(range(p + 1), range(q + 1)):
+        base, m = math.comb(p, g) * math.comb(q, d) << (p + q - g - d), q - d
+        out += [((p - g, m - k, g - k, d), base * math.factorial(k) * math.comb(g, k) * math.comb(m, k)) for k in range(min(g, m) + 1)]
+    return out
+
+
 def _theta(a, sign):
-    """Image of a under X_i -> x_i + sign*h_{x_i}/2, Y_i -> y_i + sign*h_{y_i}/2:
-    each normal-order monomial is multiplied out in its own order for
-    sign 1 and in reverse for sign -1.  The product is taken in A_2n,
-    where the images are R(x_i + s*h_{x_i}/2) = X_i - s*Y_(n+i)/2 and
-    R(y_i + s*h_{y_i}/2) = X_(n+i) + s*Y_i/2."""
+    """Image of a under X_i -> x_i + sign*h_{x_i}/2, Y_i -> y_i + sign*h_{y_i}/2,
+    each normal-order monomial taken in its own order for sign 1 and in
+    reverse for sign -1.  The variables do not interact, so the image of a
+    monomial is the product over i of the _theta_factor terms of
+    (alpha_i, beta_i), which distinct choices send to distinct keys.  The
+    terms are summed as codes of (e, g) with integer numerators over
+    lcm(denominators) << (largest degree)."""
     n = a.n
-    half = Fraction(sign, 2)
-    im_x = [Weyl.X(2 * n, i) - half * Weyl.Y(2 * n, n + i) for i in range(1, n + 1)]
-    im_y = [Weyl.X(2 * n, n + i) + half * Weyl.Y(2 * n, i) for i in range(1, n + 1)]
-    out = {}
-    for (al, be), c in a.terms.items():
-        letters = [im_x[i] for i in range(n) for _ in range(al[i])]
-        letters += [im_y[i] for i in range(n) for _ in range(be[i])]
-        prod = Weyl.one(2 * n) * c
-        for im in letters[::sign]:
-            prod = weyl_mul(prod, im)
-        accumulate(out, prod.terms.items())
-    return _from_weyl(Weyl._make(out, 2 * n), n)
+    terms = a.terms.items()
+    den = math.lcm(*(c.denominator for _, c in terms))
+    top = max((sum(al) + sum(be) for (al, be), _ in terms), default=0)
+    radix = 1 + max((max(al + be) for (al, be), _ in terms), default=0)
+    place = [radix**t for t in range(4 * n)]
+    tables, acc = {}, {}
+    for (al, be), c in terms:
+        items = [(0, c.numerator * (den // c.denominator) << (top - sum(al) - sum(be)))]
+        for i, key in enumerate(zip(al, be)):
+            table = tables.get((i, key))
+            if table is None:
+                table = tables[(i, key)] = [(sum(map(mul, t, place[i::n])), w) for t, w in _theta_factor(*key, sign)]
+            items = [(z + s, x * w) for z, x in items for s, w in table]
+        accumulate(acc, items)
+    return _pn_env(radix, den << top, acc, n)
 
 
 def theta_left(a):
@@ -441,10 +442,8 @@ def theta_left(a):
 
 
 def theta_right(a):
-    """Anti-homomorphism X_i -> x_i - h_{x_i}/2, Y_i -> y_i - h_{y_i}/2.
-
-    Each normal-order monomial has its factor order reversed.
-    """
+    """Anti-homomorphism X_i -> x_i - h_{x_i}/2, Y_i -> y_i - h_{y_i}/2:
+    each normal-order monomial has its factor order reversed."""
     return _theta(a, -1)
 
 
@@ -469,5 +468,5 @@ def moyal(f, g):
     n = f.n
     half = Fraction(1, 2)
     channels = [(i, n + i, half) for i in range(n)] + [(n + i, i, -half) for i in range(n)]
-    radix, den, acc = _contract(list(f.terms.items()), list(g.terms.items()), channels)
-    return SPoly._make({e: Fraction(x, den) for e, _, x in _halves(acc, radix, 2 * n)}, n)
+    rows = _decode(*_contract(list(f.terms.items()), list(g.terms.items()), channels), 2 * n)
+    return SPoly._make(rows.get((0,) * (2 * n), {}), n)

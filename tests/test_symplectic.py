@@ -2,13 +2,11 @@ import math
 import random
 from fractions import Fraction
 
-from freepoisson.checks import moyal_by_derivatives, rho_w_by_derivatives, symmetrize_by_permutations
+from freepoisson.checks import moyal_by_derivatives, rho_w_by_derivatives, symmetrize_by_permutations, theta_by_letters
 from freepoisson.symplectic import (
     PnEnv,
     SPoly,
     Weyl,
-    _from_weyl,
-    _to_weyl,
     moyal,
     pn_commutator,
     pn_env_mul,
@@ -237,6 +235,24 @@ def test_theta_images_commute():
         assert pn_commutator(theta_left(a), theta_right(b)) == 0
 
 
+def test_theta_maps_match_the_letter_by_letter_products():
+    # zero, a constant, distinct denominators, and X1*Y1 - 1/2, whose
+    # images lose their constant term to cancellation between monomials
+    cancels = Weyl(2, {((1, 0), (1, 0)): 1, ((0, 0), (0, 0)): Fraction(-1, 2)})
+    cases = [Weyl.zero(1), Weyl.zero(2), Fraction(-3, 4) * Weyl.one(2), cancels]
+    cases.append(Weyl(2, {((2, 1), (0, 3)): Fraction(1, 3), ((0, 2), (1, 0)): Fraction(5, 7), ((1, 1), (1, 1)): Fraction(-2, 9)}))
+    rng = random.Random(53)
+    cases += [rand_weyl(rng, rng.randint(1, 2), 3, terms=rng.randint(1, 4)) for _ in range(40)]
+    for a in cases:
+        for sign, theta in ((1, theta_left), (-1, theta_right)):
+            img = theta(a)
+            assert img == theta_by_letters(a, sign), (a.terms, sign)
+            assert all(p.terms and all(p.terms.values()) for p in img.terms.values()), (a.terms, sign)
+    x1y1 = SPoly(2, {(1, 0, 1, 0): 1})
+    assert theta_left(cancels).p_part() == x1y1 == theta_right(cancels).p_part()
+    assert theta_left(Weyl.zero(2)) == PnEnv.zero(2) and not theta_right(Weyl.zero(1)).terms
+
+
 def test_pn_env_mul_known_value():
     hx = PnEnv.h_x(1, 1)
     assert pn_env_mul(hx, PnEnv.from_poly(Y1)) == PnEnv(
@@ -264,22 +280,15 @@ def test_pn_env_mul_is_associative():
         assert pn_env_mul(pn_env_mul(a, b), c) == pn_env_mul(a, pn_env_mul(b, c))
 
 
-def test_relabeling_sends_generators_to_weyl_generators():
-    for n in (1, 2):
-        for i in range(1, n + 1):
-            assert _to_weyl(PnEnv.from_poly(SPoly.x(n, i))) == Weyl.X(2 * n, i)
-            assert _to_weyl(PnEnv.from_poly(SPoly.y(n, i))) == Weyl.X(2 * n, n + i)
-            assert _to_weyl(PnEnv.h_y(n, i)) == Weyl.Y(2 * n, i)
-            assert _to_weyl(PnEnv.h_x(n, i)) == -Weyl.Y(2 * n, n + i)
-
-
 def test_relabeling_round_trips():
+    # the codes of pn_env_mul decode back to the keys they were packed from
     rng = random.Random(47)
     for n in (1, 2):
-        assert _from_weyl(_to_weyl(PnEnv.zero(n)), n) == PnEnv.zero(n)
+        one = PnEnv.one(n)
+        assert pn_env_mul(PnEnv.zero(n), one) == PnEnv.zero(n) == pn_env_mul(one, PnEnv.zero(n))
         for _ in range(20):
             u = rand_pn_env(rng, n, 3, 3)
-            assert _from_weyl(_to_weyl(u), n) == u
+            assert pn_env_mul(u, one) == u == pn_env_mul(one, u)
 
 
 def test_canonical_commutators():
