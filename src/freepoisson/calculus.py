@@ -173,10 +173,10 @@ def _search_box(J, hb, cb, n_vars):
     column holds m * (h_w * J[b][k]) at the rows ("L", a, k, word, mono)
     and (J[i][a] * m) * h_w at the rows ("R", i, b, word, mono).  The
     columns are those of D*J, D the lcm of the coefficient denominators of
-    J (see depend.ColumnBuilder), so the right-hand side is D*I.  Each
-    h_w * D*J[b][k] is built once along the word trie, and each
-    D*J[i][a] * m is split into coded entries once and placed at the rows
-    of every suffix w.
+    J (see depend.ColumnBuilder), so the right-hand side is D*I.  All bases
+    are built before the first column: each h_w * D*J[b][k] once along the
+    word trie, and each D*J[i][a] * m once, split into coded entries that
+    are placed at the rows of every suffix w.
     """
     n = J.n
 
@@ -187,14 +187,16 @@ def _search_box(J, hb, cb, n_vars):
     monos = depend.monomials_up_to(n_vars, cb)
     scale = depend.denominator_lcm(u for row in J.entries for u in row)
     scaled = [[u * scale for u in row] for row in J.entries]
-    columns = depend.ColumnBuilder([u for row in scaled for u in row], hb, cb, n_vars)
-    base_left = [[dict(depend.h_word_products(u, words)) for u in row] for row in scaled]
+    base_left = [[depend.h_word_products(u, words) for u in row] for row in scaled]
     base_right = {
-        (i, a, m): columns.coded(env_mul(scaled[i][a], Env.from_poly(Poly({m: 1}))))
+        (i, a, m): env_mul(scaled[i][a], Env.from_poly(Poly({m: 1})))
         for i in range(n)
         for a in range(n)
         for m in monos
     }
+    lefts = [v for row in base_left for u in row for v in u.values()]
+    columns = depend.ColumnBuilder(lefts, monos, base_right.values(), words, 2 * n * n)
+    base_right = {key: columns.coded(u) for key, u in base_right.items()}
 
     solver = SparseSolver()
     for a in range(n):

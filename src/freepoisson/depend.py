@@ -204,12 +204,12 @@ def monomials_up_to(n, max_deg):
 
 
 def h_word_products(u, words):
-    """(w, h_w * u) for w in `words`, shortest first as words_up_to lists
-    them, each made as h_(w[0]) * (h_(w[1:]) * u) when it is reached."""
+    """{w: h_w * u} for w in `words`, shortest first as words_up_to lists
+    them, each made as h_(w[0]) * (h_(w[1:]) * u)."""
     done = {}
     for w in words:
         done[w] = env_mul(Env.h_generator(w[0]), done[w[1:]]) if w else u
-        yield w, done[w]
+    return done
 
 
 def box_size(n, max_len, max_deg, cap):
@@ -254,31 +254,33 @@ def denominator_lcm(elements):
 
 
 class ColumnBuilder:
-    """Columns m * u of a bounded search, built by shifting monomial codes.
+    """Columns m * u of a bounded search, built by adding monomial codes.
 
-    A row is one int that sorts like the tuple key
-    (prefix, graded_lex_key(word), (deg mono, mono)).  Its mixed-radix
-    digits are, most significant first: the caller's prefix; the length
-    and the letters of the h-word; the degree of the monomial and its
-    (basis word, exponent) pairs, padded with 0 to a fixed count.  A basis
-    word is its letters padded with 0 on the right, so that a prefix of a
-    word sorts first, as in tuple comparison.  The radices hold the rows of
-    m * h_w * s and s * m * h_w for s in `elements`, |w| <= hdeg_bound and
-    deg m <= coeff_deg_bound, with letters up to n or the largest letter
-    present.  Moving an h-letter past a coefficient brackets it with some
-    x_j, which adds 1 to the degree, so no degree passes coeff_deg_bound +
-    hdeg_bound + max(deg p + |v|) over the terms p * h_v of s.  Each code
-    is checked against its radices when it is first made.
+    A row is one int whose mixed-radix digits are, most significant first:
+    the caller's prefix (below `prefixes`); the length and the letters of
+    the h-word, padded with 0 on the right; then the monomial part
+    code(mono) = deg * R**P + sum(e_w * R**idx(w)), where idx numbers in
+    graded-lex order the P basis words of `monos` and of the bases.  R - 1
+    is at least the largest monomial degree of a `shifted` base plus that
+    of `monos`, so no digit carries and code(m * m2) = code(m) + code(m2).
+    The rows sort like (prefix, graded_lex_key(word), deg, exponent vector,
+    most significant last).  The caller builds all bases before the first
+    column: every u that `flatten` will see (`shifted`) and `coded` will
+    see (`placed`), and the `suffixes` of `place`.  They fix the radices,
+    and each code is checked against them.
 
-    An element u is flattened once into entries (row of its h-word,
-    monomial m2, coefficient); the column of m * u then has the same
-    coefficients at the rows row + code(m * m2).  Multiplying by a fixed
-    monomial is injective on monomials, so no two entries of one flattened
-    element share a row.  The codes of the products m * m2 are memoized for
+    The h-word part stays on top: SparseSolver reduces a column at its
+    largest row, which then lies in the column's leading h-word, fixed by w
+    for m * h_w * s.  With the monomial part on top a `search` round of the
+    benchmark made about 18 times as many elimination steps and took twice
+    as long.  No row order changes a kernel or a solution (see linalg).
+
+    An element u is flattened once into (row, coefficient) entries; the
+    column of m * u has them at row + code(m), code(m) memoized per m for
     the lifetime of the builder, which is one search.  `coded` and `place`
-    serve the other side, u * h_w for one u and many suffixes w: u is
-    split by h-word into (monomial code, coefficient) entries once, and
-    the row of each (prefix, h-word + suffix) is memoized.
+    serve the other side, u * h_w for one u and many suffixes w: u is split
+    by h-word into (monomial code, coefficient) entries once, and the row
+    of each (prefix, h-word + suffix) is memoized.
 
     The searches hand the builder the entries of their D-scaled system:
     the elements multiplied by D, the lcm of their coefficient
@@ -289,57 +291,53 @@ class ColumnBuilder:
     no kernel.
     """
 
-    def __init__(self, elements, hdeg_bound, coeff_deg_bound, n):
-        terms = [(v, m) for s in elements for v, p in s.terms.items() for m in p.terms]
-        self._base = max(n, _infer_n(elements)) + 1
-        self._hlen = hdeg_bound + max((len(v) for v, _ in terms), default=0)
-        top = max((len(v) + poisson.mono_deg(m) for v, m in terms), default=0)
-        self._deg = coeff_deg_bound + hdeg_bound + top
-        # a basis word's length and a monomial's factor count are at most its
-        # degree; over one letter the only basis word is x1
-        self._wlen = self._factors = 1 if self._base == 2 else self._deg
-        self._pair = self._base**self._wlen * (self._deg + 1)
-        self._mono = (self._deg + 1) * self._pair**self._factors
-        self._words, self._products, self._rows = {}, {}, {}
+    def __init__(self, shifted, monos, placed=(), suffixes=(), prefixes=1):
+        hwords = [{w for u in us for w in u.terms} for us in (shifted, placed)]
+        mono_sets = [{m for u in us for p in u.terms.values() for m in p.terms} for us in (shifted, placed)]
+        deg = [max(map(poisson.mono_deg, ms), default=0) for ms in (*mono_sets, monos)]
+        hlen = [max(map(len, ws), default=0) for ws in (*hwords, suffixes)]
+        self._prefixes = prefixes
+        self._letters = 1 + max((a for w in [*hwords[0], *hwords[1], *suffixes] for a in w), default=0)
+        self._hlen = max(hlen[0], hlen[1] + hlen[2])
+        self._shift_deg = deg[2]
+        self._deg = max(deg[0] + deg[2], deg[1])
+        radix = self._deg + 1
+        words = sorted({w for m in [*mono_sets[0], *mono_sets[1], *monos] for w, _ in m}, key=graded_lex_key)
+        self._place = {w: radix**i for i, w in enumerate(words)}
+        self._top = radix ** len(words)
+        self._mono = self._top * radix
+        self._offsets, self._rows = {}, {}
 
-    def _digits(self, code, word, width):
-        if len(word) > width or (word and max(word) >= self._base):
-            raise ValueError(f"word {word} outside the builder's radices")
-        for a in word:
-            code = code * self._base + a
-        return code * self._base ** (width - len(word))
-
-    def _mono_code(self, m):
+    def _code(self, m, max_deg):
         d = poisson.mono_deg(m)
-        if d > self._deg or len(m) > self._factors:
+        if d > max_deg or any(w not in self._place for w, _ in m):
             raise ValueError(f"monomial {m} outside the builder's radices")
-        code = d
-        for w, e in m:
-            wc = self._words.get(w)
-            if wc is None:
-                wc = self._words[w] = self._digits(0, w, self._wlen)
-            code = code * self._pair + wc * (self._deg + 1) + e
-        return code * self._pair ** (self._factors - len(m))
+        return d * self._top + sum(e * self._place[w] for w, e in m)
 
     def _row(self, prefix, word):
-        code = self._digits(prefix * (self._hlen + 1) + len(word), word, self._hlen)
-        return code * self._mono
+        if not 0 <= prefix < self._prefixes or len(word) > self._hlen or not all(0 < a < self._letters for a in word):
+            raise ValueError(f"prefix {prefix}, word {word} outside the builder's radices")
+        code = prefix * (self._hlen + 1) + len(word)
+        for a in word:
+            code = code * self._letters + a
+        return code * self._letters ** (self._hlen - len(word)) * self._mono
 
     def key(self, prefix, word, mono):
         """The row of (prefix, h-word, monomial)."""
-        return self._row(prefix, word) + self._mono_code(mono)
+        return self._row(prefix, word) + self._code(mono, self._deg)
 
     def flatten(self, u, prefix=0):
         """Entries of u, for `shift`; the h-word w gives the row of (prefix, w)."""
+        max_deg = self._deg - self._shift_deg
         out = []
         for w, p in u.terms.items():
             row = self._row(prefix, w)
-            out.extend((row, m2, _int(c)) for m2, c in p.terms.items())
+            out.extend((row + self._code(m, max_deg), _int(c)) for m, c in p.terms.items())
         return out
 
     def coded(self, u):
         """u as (h-word, [(monomial code, coefficient), ...]) pairs, for `place`."""
-        return [(w, [(self._mono_code(m), _int(c)) for m, c in p.terms.items()]) for w, p in u.terms.items()]
+        return [(w, [(self._code(m, self._deg), _int(c)) for m, c in p.terms.items()]) for w, p in u.terms.items()]
 
     def place(self, coded, prefix, suffix, col):
         """col with the entries of u * h_suffix added, u given by `coded(u)`."""
@@ -354,14 +352,10 @@ class ColumnBuilder:
 
     def shift(self, entries, m):
         """A new column with the entries of m * (flattened)."""
-        col = {}
-        products = self._products.setdefault(m, {})
-        for row, m2, c in entries:
-            code = products.get(m2)
-            if code is None:
-                code = products[m2] = self._mono_code(poisson.mono_mul(m, m2))
-            col[row + code] = c
-        return col
+        off = self._offsets.get(m)
+        if off is None:
+            off = self._offsets[m] = self._code(m, self._shift_deg)
+        return {row + off: c for row, c in entries}
 
 
 def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
@@ -376,10 +370,11 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
 
     The search runs on the D-scaled elements (see ColumnBuilder), which
     have the same kernel.  Each h_w * s_r is computed once, as
-    h_(w[0]) * (h_(w[1:]) * s_r) along the word trie, and flattened once;
-    the columns m * h_w * s_r for all monomials m are then made by
-    shifting its monomial codes (ColumnBuilder), with the int rows of
-    (word, (deg, mono)).
+    h_(w[0]) * (h_(w[1:]) * s_r) along the word trie; all of these bases
+    are built before the first column, since they fix the radices of the
+    row codes.  Each base is flattened once, and the columns m * h_w * s_r
+    for all monomials m are made by adding the code of m to its rows
+    (ColumnBuilder).
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -397,10 +392,11 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     words = words_up_to(n, hdeg_bound)
     monos = monomials_up_to(n, coeff_deg_bound)
     scale = denominator_lcm(elements)
-    columns = ColumnBuilder(elements, hdeg_bound, coeff_deg_bound, n)
+    bases = [h_word_products(s * scale, words) for s in elements]
+    columns = ColumnBuilder([u for b in bases for u in b.values()], monos)
     solver = SparseSolver()
-    for r, s in enumerate(elements):
-        for w, base in h_word_products(s * scale, words):
+    for r, products in enumerate(bases):
+        for w, base in products.items():
             base = columns.flatten(base)
             for m in monos:
                 kernel = solver.add((r, w, m), columns.shift(base, m))

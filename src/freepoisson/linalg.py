@@ -6,7 +6,8 @@ keys can be any mutually comparable values.  Each registered column is
 reduced against the current pivots at its largest row key.  A column
 that reduces to zero yields the combination of previously added columns
 that produced it, which is exactly the kernel/solution certificate the
-callers need.
+callers need.  Kernels and solutions do not depend on the order of the
+row keys, but the fill-in does.
 
 The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  A
 column with Fraction entries is first multiplied by the lcm of their

@@ -183,10 +183,10 @@ def test_brute_force_dependence():
 
 
 def tuple_rows(u, m, prefix=(), suffix=()):
-    """Column of m * u through full Poly products, at the tuple keys
-    (prefix, graded_lex_key(word), (deg, mono)) whose order the int rows keep."""
+    """Column of m * u through full Poly products, at the keys
+    (prefix, h-word, monomial)."""
     return {
-        prefix + (graded_lex_key(w + suffix), (mono_deg(mm), mm)): c
+        (prefix, w + suffix, mm): c
         for w, p in u.terms.items()
         for mm, c in (Poly({m: 1}) * p).terms.items()
     }
@@ -196,8 +196,8 @@ def test_column_builder_matches_products():
     rng = random.Random(31)
     n, hb, cb = 2, 2, 4
     monos = monomials_up_to(n, cb)
+    words = words_up_to(n, hb)
     elements = [rand_env_nonzero(rng, n, 3, 3, terms=rng.randint(1, 4)) for _ in range(40)]
-    builder = ColumnBuilder(elements, hb, cb, n)
     # the rows of brute_force_dependence, and those of _search_box with the
     # prefixes ("L"|"R", i, j), i, j < 2, coded (side * 2 + i) * 2 + j
     search_box = [
@@ -206,34 +206,97 @@ def test_column_builder_matches_products():
         for i in (0, 1)
         for j in (0, 1)
     ]
-    words = words_up_to(n, hb)
+    # every base is drawn first, since the bases fix the builder's radices:
+    # (prefix, code, u, suffix, monomials to shift by or None to place)
+    groups = []
     for prefixes in ([((), 0)], search_box):
-        rows = {}
+        draws = []
         for s in elements:
             for prefix, code in rng.sample(prefixes, min(2, len(prefixes))):
                 w = rng.choice(words)
                 if prefix[:1] == ("R",):  # (s * m) * h_w, placed at the suffix w
                     u = env_mul(s, Env.from_poly(Poly({rng.choice(monos): 1})))
-                    want = tuple_rows(u, (), prefix, w)
-                    keys = {k: builder.key(code, k[-2][1], k[-1][1]) for k in want}
-                    got = builder.place(builder.coded(u), code, w, {})
-                    assert got == {keys[k]: c for k, c in want.items()}
-                    rows.update(keys)
-                    continue
-                u = env_mul(Env({w: Poly.one()}), s)  # m * (h_w * s)
-                flat = builder.flatten(u, code)
-                for m in rng.sample(monos, 6):
-                    want = tuple_rows(u, m, prefix)
-                    keys = {k: builder.key(code, k[-2][1], k[-1][1]) for k in want}
-                    assert builder.shift(flat, m) == {keys[k]: c for k, c in want.items()}
-                    rows.update(keys)
-        # the int rows sort exactly like the tuple keys, and no two coincide
+                    draws.append((prefix, code, u, w, None))
+                else:  # m * (h_w * s)
+                    u = env_mul(Env({w: Poly.one()}), s)
+                    draws.append((prefix, code, u, (), rng.sample(monos, 6)))
+        groups.append(draws)
+    every = [d for draws in groups for d in draws]
+    shifted = [u for _, _, u, _, shifts in every if shifts is not None]
+    placed = [elements[0], *(u for _, _, u, _, shifts in every if shifts is None)]
+    builder = ColumnBuilder(shifted, monos, placed, words, len(search_box))
+    # the order the int rows keep: (prefix, graded_lex_key(word), deg, exponent
+    # vector over the interned basis words, most significant last); the words
+    # are those of the monomials and the bases, in graded-lex order
+    base_monos = [m for u in shifted + placed for p in u.terms.values() for m in p.terms]
+    interned = sorted({bw for m in [*monos, *base_monos] for bw, _ in m}, key=graded_lex_key)
+
+    def order(prefix, word, mono):
+        e = dict(mono)
+        return prefix + (graded_lex_key(word), mono_deg(mono), [e.get(bw, 0) for bw in reversed(interned)])
+
+    for draws in groups:
+        rows = {}
+        for prefix, code, u, suffix, shifts in draws:
+            if shifts is None:
+                want = tuple_rows(u, (), prefix, suffix)
+                keys = {k: builder.key(code, k[1], k[2]) for k in want}
+                got = builder.place(builder.coded(u), code, suffix, {})
+                assert got == {keys[k]: c for k, c in want.items()}
+                rows.update(keys)
+                continue
+            flat = builder.flatten(u, code)
+            for m in shifts:
+                want = tuple_rows(u, m, prefix)
+                keys = {k: builder.key(code, k[1], k[2]) for k in want}
+                assert builder.shift(flat, m) == {keys[k]: c for k, c in want.items()}
+                rows.update(keys)
+        # the int rows sort exactly in that order, and no two coincide
         assert len(set(rows.values())) == len(rows) > 1500
-        assert [rows[k] for k in sorted(rows)] == sorted(rows.values())
+        assert [rows[k] for k in sorted(rows, key=lambda k: order(*k))] == sorted(rows.values())
     # entries add to a given column
     u = elements[0]
     col = builder.place(builder.coded(u), 5, (1, 2), {-1: 1})
     assert col == {-1: 1, **builder.place(builder.coded(u), 5, (1, 2), {})}
+
+
+def test_column_builder_rejects_codes_outside_its_radices():
+    # one letter; shifts by monomials of degree <= 2 of a base of degree 1,
+    # so monomial degrees up to 3; h-words of length <= 1, and suffixes of
+    # length <= 1 after those of the placed base; two prefixes
+    builder = ColumnBuilder([Env({(1,): X1})], monomials_up_to(1, 2), [Env({(1,): X1})], words_up_to(1, 1), 2)
+    x1 = ((1,), 1)
+    assert builder.key(1, (1, 1), (((1,), 3),)) > builder.key(1, (1,), (((1,), 3),))
+    flat = builder.flatten(Env({(1,): X1}), 1)
+    assert builder.shift(flat, (((1,), 2),)) == {builder.key(1, (1,), (((1,), 3),)): 1}
+    coded = builder.coded(Env({(1,): X1}))
+    assert builder.place(coded, 0, (1,), {}) == {builder.key(0, (1, 1), (x1,)): 1}
+    unknown_word = (((1, 2), 1),)  # [x1, x2] was never interned
+    unknown_letter = (((2,), 1),)
+    outside = [
+        lambda: builder.key(0, (), unknown_word),
+        lambda: builder.key(0, (), unknown_letter),
+        lambda: builder.key(0, (), (((1,), 4),)),
+        lambda: builder.key(2, (), ()),
+        lambda: builder.key(-1, (), ()),
+        lambda: builder.key(0, (1, 1, 1), ()),
+        lambda: builder.key(0, (2,), ()),
+        lambda: builder.key(0, (0,), ()),
+        lambda: builder.flatten(Env({(): Poly({unknown_word: 1})})),
+        lambda: builder.flatten(Env({(): X1 * X1})),  # degree 2 + 2 > 3
+        lambda: builder.flatten(Env({(2,): X1})),
+        lambda: builder.flatten(Env({(1, 1, 1): X1})),
+        lambda: builder.flatten(Env({(): X1}), 2),
+        lambda: builder.coded(Env({(): Poly({unknown_word: 1})})),
+        lambda: builder.coded(Env({(): X1**4})),
+        lambda: builder.shift(flat, (((1,), 3),)),
+        lambda: builder.shift(flat, unknown_word),
+        lambda: builder.place(coded, 0, (1, 1), {}),
+        lambda: builder.place(coded, 2, (), {}),
+    ]
+    for make in outside:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_oracle_with_n_below_the_largest_letter():

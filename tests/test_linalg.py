@@ -117,3 +117,38 @@ def test_rank_matches_dense_elimination():
             assert independent == len(solver.pivots) == dense_rank(scaled, rows)
             kernels.append(got)
         assert kernels[0] == kernels[1]
+
+
+def test_kernels_and_solutions_do_not_depend_on_the_row_order():
+    # the pivot columns are the greedy independent prefix of the columns,
+    # a kernel with the new column at coefficient 1 is unique, and so is a
+    # solution in independent columns; only the fill-in depends on the order
+    rng = random.Random(12)
+    dependent = outside = 0
+    for _ in range(30):
+        rows = list(range(rng.randint(2, 9)))
+        columns = []
+        for _ in range(rng.randint(2, 12)):
+            col = {r: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for r in rows if rng.random() < 0.4}
+            if len(columns) > 1 and rng.random() < 0.4:
+                a, b = rng.sample(range(len(columns)), 2)
+                col = combine(dict(enumerate(columns)), {a: rng.randint(-3, 3), b: Fraction(rng.randint(1, 4), 3)})
+            columns.append(col)
+        rhs_in = combine(dict(enumerate(columns)), {c: rng.randint(-2, 2) for c in range(len(columns))})
+        rhs_out = {r: rng.randint(-2, 2) for r in rows}
+        labels = rng.sample(range(100), len(rows))
+        if labels == sorted(labels):
+            labels.reverse()
+        relabel = dict(zip(rows, labels))
+        results = []
+        for label in (lambda r: r, relabel.__getitem__):
+            solver = SparseSolver()
+            kernels = [solver.add(cid, {label(r): c for r, c in col.items()}) for cid, col in enumerate(columns)]
+            solved = [solver.solve({label(r): c for r, c in rhs.items()}) for rhs in (rhs_in, rhs_out)]
+            results.append((kernels, solved))
+        assert results[0] == results[1]
+        kernels, (inside, out) = results[0]
+        assert inside is not None and combine(dict(enumerate(columns)), inside) == rhs_in
+        dependent += sum(k is not None for k in kernels)
+        outside += out is None
+    assert dependent > 10 and outside > 5
