@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import depend, poisson
 from .env import Env, env_mul, ham, split
-from .linalg import SparseSolver
+from .linalg import Base, SparseSolver
 from .poisson import Poly
 
 
@@ -176,7 +176,9 @@ def _search_box(J, hb, cb, n_vars):
     J (see depend.ColumnBuilder), so the right-hand side is D*I.  All bases
     are built before the first column: each h_w * D*J[b][k] once along the
     word trie, and each D*J[i][a] * m once, split into coded entries that
-    are placed at the rows of every suffix w.
+    are placed at the rows of every suffix w.  A column has rows on both
+    sides, so it is built into a fresh dict, which the solver stores
+    without a copy when no pivot holds its lead (see linalg).
     """
     n = J.n
 
@@ -202,13 +204,11 @@ def _search_box(J, hb, cb, n_vars):
     for a in range(n):
         for b in range(n):
             for w in words:
-                left = [
-                    e
-                    for k in range(n)
-                    for e in columns.flatten(base_left[b][k][w], prefix(0, a, k))
-                ]
+                left = Base(
+                    [e for k in range(n) for e in columns.flatten(base_left[b][k][w], prefix(0, a, k)).entries]
+                )
                 for m in monos:
-                    col = columns.shift(left, m)
+                    col = columns.shift(left, m).build()
                     for i in range(n):
                         columns.place(base_right[(i, a, m)], prefix(1, i, b), w, col)
                     solver.add((a, b, w, m), col)
@@ -221,6 +221,41 @@ def _search_box(J, hb, cb, n_vars):
     for (a, b, w, m), c in combo.items():
         entries[a][b] = entries[a][b] + Env({w: Poly({m: c})})
     return EnvMatrix(entries)
+
+
+def _fit_box(n, n_vars, hb, cb, budget):
+    """The first box (hb, cb) with at most `budget` unknowns on the
+    shrinking path, or None when even (0, 0) has more.
+
+    The path starts at (min(hb, budget), min(cb, budget)), since a box
+    with a bound above the budget has more than budget unknowns.  One step
+    lowers cb by one when it is above hb, and hb otherwise: the larger
+    bound comes down to the smaller, then hb and cb come down in turn.
+    The unknown count grows with either bound (depend.box_size), so it
+    falls along the path, and the first box that fits is found by
+    bisection over the number of steps.
+    """
+    hb, cb = min(hb, budget), min(cb, budget)
+    gap, low = abs(hb - cb), min(hb, cb)
+
+    def box(t):  # the box after t steps
+        if t <= gap:
+            return (hb - t, cb) if hb > cb else (hb, cb - t)
+        return low - (t - gap + 1) // 2, low - (t - gap) // 2
+
+    def fits(t):
+        return n * n * depend.box_size(n_vars, *box(t), budget) <= budget
+
+    lo, hi = 0, gap + 2 * low
+    if not fits(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return box(lo)
 
 
 def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BUDGET):
@@ -252,19 +287,10 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BU
                 raise AssertionError("adjugate inverse failed verification")
             return InversionResult("invertible", V, True)
 
-    # shrink the box until the unknown count fits the budget; a box with
-    # a bound above the budget has more than budget unknowns, and the
-    # shrinking passes through (min(hb, budget), min(cb, budget))
-    hb, cb = min(hdeg_bound, budget), min(coeff_deg_bound, budget)
-    while True:
-        if n * n * depend.box_size(n_vars, hb, cb, budget) <= budget:
-            break
-        if cb > hb and cb > 0:
-            cb -= 1
-        elif hb > 0:
-            hb -= 1
-        else:
-            return InversionResult("unknown", None, False)
+    box = _fit_box(n, n_vars, hdeg_bound, coeff_deg_bound, budget)
+    if box is None:
+        return InversionResult("unknown", None, False)
+    hb, cb = box
     exhausted = hb == hdeg_bound and cb == coeff_deg_bound
 
     V = _search_box(J, hb, cb, n_vars)

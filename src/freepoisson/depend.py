@@ -19,7 +19,7 @@ from typing import Optional
 from . import freelie, poisson
 from .core import BudgetError, graded_lex_key
 from .env import Env, env_mul, ldc, ldm, word_right_divides
-from .linalg import SparseSolver
+from .linalg import Base, Shifted, SparseSolver
 from .poisson import Poly
 
 
@@ -275,12 +275,18 @@ class ColumnBuilder:
     benchmark made about 18 times as many elimination steps and took twice
     as long.  No row order changes a kernel or a solution (see linalg).
 
-    An element u is flattened once into (row, coefficient) entries; the
-    column of m * u has them at row + code(m), code(m) memoized per m for
-    the lifetime of the builder, which is one search.  `coded` and `place`
-    serve the other side, u * h_w for one u and many suffixes w: u is split
-    by h-word into (monomial code, coefficient) entries once, and the row
-    of each (prefix, h-word + suffix) is memoized.
+    An element u is flattened once into (row, coefficient) entries, a
+    linalg.Base with its top row; the column of m * u has them at
+    row + code(m), code(m) memoized per m for the lifetime of the builder,
+    which is one search.  `shift` returns that column unbuilt (a
+    linalg.Shifted, the base and code(m)), with lead top + code(m): all
+    columns of one base have distinct leads, and columns of different
+    bases rarely share one, so SparseSolver stores nearly every column as
+    it is (a fresh column, see linalg) and builds one only when a
+    reduction reads it.  `coded` and `place` serve the other side, u * h_w
+    for one u and many suffixes w: u is split by h-word into (monomial
+    code, coefficient) entries once, and the row of each (prefix, h-word +
+    suffix) is memoized.
 
     The searches hand the builder the entries of their D-scaled system:
     the elements multiplied by D, the lcm of their coefficient
@@ -327,13 +333,14 @@ class ColumnBuilder:
         return self._row(prefix, word) + self._code(mono, self._deg)
 
     def flatten(self, u, prefix=0):
-        """Entries of u, for `shift`; the h-word w gives the row of (prefix, w)."""
+        """The entries of u as a linalg.Base, for `shift`; the h-word w
+        gives the row of (prefix, w)."""
         max_deg = self._deg - self._shift_deg
         out = []
         for w, p in u.terms.items():
             row = self._row(prefix, w)
             out.extend((row + self._code(m, max_deg), _int(c)) for m, c in p.terms.items())
-        return out
+        return Base(out)
 
     def coded(self, u):
         """u as (h-word, [(monomial code, coefficient), ...]) pairs, for `place`."""
@@ -350,12 +357,12 @@ class ColumnBuilder:
                 col[row + code] = c
         return col
 
-    def shift(self, entries, m):
-        """A new column with the entries of m * (flattened)."""
+    def shift(self, base, m):
+        """The column of m * (flattened base), unbuilt (a linalg.Shifted)."""
         off = self._offsets.get(m)
         if off is None:
             off = self._offsets[m] = self._code(m, self._shift_deg)
-        return {row + off: c for row, c in entries}
+        return Shifted(base, off)
 
 
 def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
@@ -374,7 +381,13 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     are built before the first column, since they fix the radices of the
     row codes.  Each base is flattened once, and the columns m * h_w * s_r
     for all monomials m are made by adding the code of m to its rows
-    (ColumnBuilder).
+    (ColumnBuilder).  Those columns stay unbuilt: a column leads at
+    lead(h_w * s_r) + code(m), and almost every lead is one that no pivot
+    holds yet, so the solver stores the column with the combination
+    {(r, w, m): 1}, the pair that elimination would hold, without reading
+    it.
+    Only the few columns that meet a pivot, and the pivots that a
+    reduction reads, are built into dicts.
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")

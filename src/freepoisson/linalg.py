@@ -1,13 +1,14 @@
 """Exact sparse Gaussian elimination over the rationals, carried out in
 integers.
 
-Columns arrive one at a time as dicts row-key -> int or Fraction; row
-keys can be any mutually comparable values.  Each registered column is
-reduced against the current pivots at its largest row key.  A column
-that reduces to zero yields the combination of previously added columns
-that produced it, which is exactly the kernel/solution certificate the
-callers need.  Kernels and solutions do not depend on the order of the
-row keys, but the fill-in does.
+Columns arrive one at a time, as dicts row-key -> int or Fraction or as
+unbuilt `Shifted` columns; row keys can be any mutually comparable
+values.  Each registered column is reduced against the current pivots at
+its largest row key.  A column that reduces to zero yields the
+combination of previously added columns that produced it, which is
+exactly the kernel/solution certificate the callers need.  Kernels and
+solutions do not depend on the order of the row keys, but the fill-in
+does.
 
 The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  A
 column with Fraction entries is first multiplied by the lcm of their
@@ -24,6 +25,18 @@ replaces vec by pvec[k]/g times vec - (vec[k]/pvec[k]) * pvec.  So the
 same columns become pivots, with the same nonzero entries, and a kernel
 or a solution divided by its own scale (the coefficient of the new
 column, or the product of the step factors) is the same rational vector.
+
+A fresh column is one whose entries are all nonzero ints and whose lead
+row no pivot holds yet.  No step touches it, so the pair that elimination
+would store is the column itself with the combination {col_id: 1}, which
+is primitive; the solver stores the column as it was handed in, without
+building or copying it.  The bounded searches make almost only fresh
+columns: m * h_w * s leads at lead(h_w * s) + code(m), and two columns
+rarely share one.  A stored `Shifted` column is built into a dict, which
+replaces it in place, the first time a reduction reads it as a pivot.  A
+column whose lead row is taken is built (or copied) into a private dict
+and reduced as above.  The solver never changes a column it was handed,
+and the caller must not change one after handing it in.
 """
 
 import math
@@ -32,11 +45,56 @@ from fractions import Fraction
 from .core import accumulate
 
 
+class Base:
+    """(row, coefficient) entries with distinct rows, shared by the
+    `Shifted` columns made from them; their top row and whether every
+    coefficient is a nonzero int are found once, here."""
+
+    __slots__ = ("entries", "top", "integral")
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.top = max((row for row, _ in entries), default=None)
+        self.integral = all(type(c) is int and c for _, c in entries)
+
+
+class Shifted:
+    """The column {row + off: c for row, c in base.entries}, unbuilt.
+
+    Its lead is base.top + off (None for an empty base), and len() is its
+    entry count, the nonzeros of the built column when the base has no
+    zero coefficient.
+    """
+
+    __slots__ = ("base", "off", "lead")
+
+    def __init__(self, base, off):
+        self.base = base
+        self.off = off
+        self.lead = None if base.top is None else base.top + off
+
+    def __len__(self):
+        return len(self.base.entries)
+
+    def build(self):
+        off = self.off
+        return {row + off: c for row, c in self.base.entries}
+
+
+def _fresh_lead(vec):
+    """The lead row of a nonzero column whose entries are all nonzero ints, else None."""
+    if isinstance(vec, Shifted):
+        return vec.lead if vec.base.integral else None
+    vals = vec.values()
+    if vec and 0 not in vals and set(map(type, vals)) <= {int}:
+        return max(vec)
+    return None
+
+
 def _integral(vec):
     """(v, d): a new dict v of nonzero ints and an int d > 0 with v = d * vec."""
-    vals = vec.values()
-    if 0 not in vals and set(map(type, vals)) <= {int}:
-        return dict(vec), 1
+    if isinstance(vec, Shifted):
+        vec = vec.build()
     vec = {k: Fraction(c) for k, c in vec.items() if c}
     d = math.lcm(*(c.denominator for c in vec.values()))
     return {k: c.numerator * (d // c.denominator) for k, c in vec.items()}, d
@@ -44,7 +102,10 @@ def _integral(vec):
 
 class SparseSolver:
     def __init__(self):
-        self.pivots = {}  # row key -> (primitive int column with that lead, int combo over column ids)
+        # row key -> (primitive int column with that lead, int combo over
+        # column ids); the column is a dict or, until it is first read, a
+        # fresh Shifted column as it was handed in
+        self.pivots = {}
 
     def _reduce(self, vec, combo):
         """Reduce vec in place against the pivots, combo in step with it.
@@ -60,6 +121,9 @@ class SparseSolver:
             if piv is None:
                 return k, s
             pvec, pcombo = piv
+            if isinstance(pvec, Shifted):
+                pvec = pvec.build()
+                self.pivots[k] = pvec, pcombo
             p, v = pvec[k], vec[k]
             g = math.gcd(p, v)
             a, b = p // g, -v // g
@@ -76,13 +140,20 @@ class SparseSolver:
         return None, s
 
     def add(self, col_id, vec):
-        """Register a column.
+        """Register a column: a dict or a Shifted column.
 
         Returns None if the column is independent of those already seen;
         otherwise returns {column id: Fraction} with
         sum(coeff * column) = 0, including this column with coefficient 1.
         """
-        vec, d = _integral(vec)
+        k = _fresh_lead(vec)
+        if k is None:
+            vec, d = _integral(vec)
+        elif k in self.pivots:
+            vec, d = vec.build() if isinstance(vec, Shifted) else dict(vec), 1
+        else:
+            self.pivots[k] = (vec, {col_id: 1})
+            return None
         combo = {col_id: d}
         k, _ = self._reduce(vec, combo)
         lead = combo[col_id]

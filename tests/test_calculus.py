@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from freepoisson import depend
 from freepoisson.calculus import (
     Endomorphism,
     EnvMatrix,
+    _fit_box,
     compose,
     env_apply,
     fox,
@@ -179,6 +181,37 @@ def test_invert_shrinks_the_box_by_counting():
     assert (res.status, res.exhausted) == ("unknown", False)
     res = invert_jacobian_bounded(J, 10**9, 10**9, budget=100)
     assert (res.status, res.exhausted) == ("unknown", False)
+
+
+def one_step_shrink(n, n_vars, hb, cb, budget):
+    """The box shrinking of invert_jacobian_bounded one bound at a time,
+    as it was before the bisection: the reference for _fit_box."""
+    hb, cb = min(hb, budget), min(cb, budget)
+    while True:
+        if n * n * depend.box_size(n_vars, hb, cb, budget) <= budget:
+            return hb, cb
+        if cb > hb and cb > 0:
+            cb -= 1
+        elif hb > 0:
+            hb -= 1
+        else:
+            return None
+
+
+def test_fit_box_matches_the_one_step_shrink():
+    # the box of `fpa jacobian -n 1 --invert --hdeg-bound 1000000000
+    # --coeff-bound 1000000000 x1^2`, 399,108 steps one at a time
+    assert _fit_box(1, 1, 10**9, 10**9, depend.BOX_BUDGET) == one_step_shrink(1, 1, 10**9, 10**9, depend.BOX_BUDGET)
+    bounds = [0, 1, 2, 3, 5, 8, 13, 40, 10**9]
+    fitted = 0
+    for n, n_vars in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
+        for budget in (0, 1, 4, 9, 50, 700, 2000):
+            for hb in bounds:
+                for cb in bounds:
+                    want = one_step_shrink(n, n_vars, hb, cb, budget)
+                    assert _fit_box(n, n_vars, hb, cb, budget) == want, (n, n_vars, hb, cb, budget)
+                    fitted += want is not None and want != (hb, cb)
+    assert fitted > 1000
 
 
 def test_pair_status_free():

@@ -249,7 +249,10 @@ def test_column_builder_matches_products():
             for m in shifts:
                 want = tuple_rows(u, m, prefix)
                 keys = {k: builder.key(code, k[1], k[2]) for k in want}
-                assert builder.shift(flat, m) == {keys[k]: c for k, c in want.items()}
+                col = builder.shift(flat, m)
+                built = col.build()
+                assert built == {keys[k]: c for k, c in want.items()}
+                assert len(col) == len(built) and col.lead == max(built)
                 rows.update(keys)
         # the int rows sort exactly in that order, and no two coincide
         assert len(set(rows.values())) == len(rows) > 1500
@@ -268,7 +271,7 @@ def test_column_builder_rejects_codes_outside_its_radices():
     x1 = ((1,), 1)
     assert builder.key(1, (1, 1), (((1,), 3),)) > builder.key(1, (1,), (((1,), 3),))
     flat = builder.flatten(Env({(1,): X1}), 1)
-    assert builder.shift(flat, (((1,), 2),)) == {builder.key(1, (1,), (((1,), 3),)): 1}
+    assert builder.shift(flat, (((1,), 2),)).build() == {builder.key(1, (1,), (((1,), 3),)): 1}
     coded = builder.coded(Env({(1,): X1}))
     assert builder.place(coded, 0, (1,), {}) == {builder.key(0, (1, 1), (x1,)): 1}
     unknown_word = (((1, 2), 1),)  # [x1, x2] was never interned

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from freepoisson.linalg import SparseSolver
+from freepoisson.linalg import Base, Shifted, SparseSolver
 
 
 def combine(columns, combo):
@@ -152,3 +152,96 @@ def test_kernels_and_solutions_do_not_depend_on_the_row_order():
         dependent += sum(k is not None for k in kernels)
         outside += out is None
     assert dependent > 10 and outside > 5
+
+
+def built(solver):
+    """The pivots of a solver with every column built into a dict."""
+    return {k: (vec if isinstance(vec, dict) else vec.build(), combo) for k, (vec, combo) in solver.pivots.items()}
+
+
+def shifted_system(rng):
+    """Seeded columns as Shifted over a few shared bases, each with its
+    built dict; rows 0..11, so that kernels and shared leads occur."""
+    bases = []
+    for _ in range(rng.randint(2, 4)):
+        rows = rng.sample(range(8), rng.randint(1, 4))
+        coefficient = lambda: rng.choice([-3, -2, -1, 1, 2, 5]) if rng.random() < 0.9 else Fraction(rng.randint(1, 4), 3)
+        bases.append(Base([(r, coefficient()) for r in rows]))
+    bases.append(Base([]))  # shifts of it are zero columns
+    columns = []
+    for _ in range(rng.randint(4, 16)):
+        base = rng.choice(bases[:-1]) if rng.random() < 0.95 else bases[-1]
+        columns.append(Shifted(base, rng.randint(0, 4)))
+    return bases, columns
+
+
+def test_shifted_columns_match_dict_columns():
+    rng = random.Random(7)
+    built_on_use = kept_unbuilt = dependent = fraction_bases = 0
+    for _ in range(150):
+        bases, columns = shifted_system(rng)
+        fraction_bases += sum(not b.integral for b in bases)
+        dicts = [col.build() for col in columns]
+        entries = [list(b.entries) for b in bases]
+        given = [dict(d) for d in dicts]
+        rhs_in = combine(dict(enumerate(dicts)), {c: rng.randint(-2, 2) for c in range(len(dicts))})
+        rhs_out = {r: rng.randint(-2, 2) for r in range(12)}
+        rhs_given = [dict(rhs_in), dict(rhs_out)]
+        results, solvers = [], []
+        for feed in (dicts, columns):
+            solver = SparseSolver()
+            kernels = []
+            for cid, col in enumerate(feed):
+                held = solver.pivots.get(getattr(col, "lead", None))
+                kernels.append(solver.add(cid, col))
+                if held is not None and isinstance(held[0], Shifted):
+                    # the lead row was held by a pivot stored unbuilt: it is
+                    # built in place, to the dict elimination would hold
+                    assert solver.pivots[col.lead] == (held[0].build(), held[1])
+                    built_on_use += 1
+            solved = [solver.solve(rhs) for rhs in (rhs_in, rhs_out)]
+            results.append((kernels, solved))
+            solvers.append(solver)
+        assert results[0] == results[1]
+        assert built(solvers[0]) == built(solvers[1])
+        kept_unbuilt += sum(isinstance(vec, Shifted) for vec, _ in solvers[1].pivots.values())
+        dependent += sum(k is not None for k in results[0][0])
+        kernels, (inside, _) = results[0]
+        assert inside is not None and combine(dict(enumerate(dicts)), inside) == rhs_in
+        for cid, kernel in enumerate(kernels):
+            if kernel is not None:
+                assert combine(dict(enumerate(dicts)), kernel) == {}
+        # no column handed in, no shared base and no right-hand side changed
+        assert dicts == given and [b.entries for b in bases] == entries
+        assert [rhs_in, rhs_out] == rhs_given
+    assert built_on_use > 100 and kept_unbuilt > 20 and dependent > 100 and fraction_bases > 10
+
+
+def test_zero_shifted_column_gives_the_unit_kernel():
+    for zero in ({}, Shifted(Base([]), 7)):
+        solver = SparseSolver()
+        assert solver.add("a", {3: 2}) is None
+        assert solver.add("z", zero) == {"z": 1}
+        assert list(solver.pivots) == [3]
+
+
+def test_stored_pivot_nonzeros_match_the_built_pair():
+    # bench/spans.py counts len(pvec) + len(pcombo) of the newest pivot
+    # right after add; an unbuilt pivot must count what building gives
+    rng = random.Random(8)
+    unbuilt = 0
+    for _ in range(100):
+        _, columns = shifted_system(rng)
+        solver = SparseSolver()
+        for cid, col in enumerate(columns):
+            before = len(solver.pivots)
+            solver.add(cid, col)
+            if len(solver.pivots) > before:
+                pvec, pcombo = next(reversed(solver.pivots.values()))
+                vec, combo = built(solver)[next(reversed(solver.pivots))]
+                nonzeros = sum(1 for c in [*vec.values(), *combo.values()] if c)
+                assert len(pvec) + len(pcombo) == nonzeros
+                unbuilt += isinstance(pvec, Shifted)
+        for k, (vec, combo) in built(solver).items():
+            assert len(solver.pivots[k][0]) + len(combo) == sum(1 for c in [*vec.values(), *combo.values()] if c)
+    assert unbuilt > 100
