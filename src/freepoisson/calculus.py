@@ -167,59 +167,48 @@ def _verify_inverse(J, V):
 
 
 def _search_box(J, hb, cb, n_vars):
-    """Exact solve of V*J = I and J*V = I with V confined to the box.
+    """Exact solve of V*J = I with V confined to the box.
 
-    The unknown (a, b, w, m) is the coefficient of m * h_w in V[a][b].  Its
-    column holds m * (h_w * J[b][k]) at the rows ("L", a, k, word, mono)
-    and (J[i][a] * m) * h_w at the rows ("R", i, b, word, mono).  The
-    columns are those of D*J, D the lcm of the coefficient denominators of
-    J (see depend.ColumnBuilder), so the right-hand side is D*I.  All bases
-    are built before the first column: each h_w * D*J[b][k] once along the
-    word trie, and each D*J[i][a] * m once, split into coded entries that
-    are placed at the rows of every suffix w.  A column has rows on both
-    sides, so it is built into a fresh dict, which the solver stores
-    without a copy when no pivot holds its lead (see linalg).
+    Only the left system is searched.  If J has a two-sided inverse V0 and
+    V*J = I, then V = V*(J*V0) = (V*J)*V0 = V0.  So when the box holds a
+    two-sided inverse, the left system has exactly one solution in the box,
+    and it is that inverse; the caller checks J*V = I by multiplying out.
+
+    Row a of V*J = I reads sum_b V[a][b] * J[b][k] = delta_ak, and every
+    row of V has the same columns.  The unknown (b, w, m) is the
+    coefficient of m * h_w in V[a][b], and its column holds
+    m * (h_w * J[b][k]) at the rows (k, word, mono).  The columns are those
+    of D*J, D the lcm of the coefficient denominators of J (see
+    depend.ColumnBuilder), so row a solves against D * e_a.  One solver
+    holds the columns and answers the n right-hand sides.  Each
+    h_w * D*J[b][k] is built once along the word trie, the n of them for
+    one (b, w) are flattened once into one base, and the column of m is
+    that base shifted by code(m), which the solver stores unbuilt when no
+    pivot holds its lead (see linalg).
     """
     n = J.n
-
-    def prefix(side, i, j):  # ("L"|"R", i, j) as a ColumnBuilder prefix
-        return (side * n + i) * n + j
-
     words = depend.words_up_to(n_vars, hb)
     monos = depend.monomials_up_to(n_vars, cb)
     scale = depend.denominator_lcm(u for row in J.entries for u in row)
-    scaled = [[u * scale for u in row] for row in J.entries]
-    base_left = [[depend.h_word_products(u, words) for u in row] for row in scaled]
-    base_right = {
-        (i, a, m): env_mul(scaled[i][a], Env.from_poly(Poly({m: 1})))
-        for i in range(n)
-        for a in range(n)
-        for m in monos
-    }
-    lefts = [v for row in base_left for u in row for v in u.values()]
-    columns = depend.ColumnBuilder(lefts, monos, base_right.values(), words, 2 * n * n)
-    base_right = {key: columns.coded(u) for key, u in base_right.items()}
+    bases = [[depend.h_word_products(u * scale, words) for u in row] for row in J.entries]
+    columns = depend.ColumnBuilder([v for row in bases for u in row for v in u.values()], monos, n)
 
     solver = SparseSolver()
-    for a in range(n):
-        for b in range(n):
-            for w in words:
-                left = Base(
-                    [e for k in range(n) for e in columns.flatten(base_left[b][k][w], prefix(0, a, k)).entries]
-                )
-                for m in monos:
-                    col = columns.shift(left, m).build()
-                    for i in range(n):
-                        columns.place(base_right[(i, a, m)], prefix(1, i, b), w, col)
-                    solver.add((a, b, w, m), col)
+    for b in range(n):
+        for w in words:
+            base = Base([e for k in range(n) for e in columns.flatten(bases[b][k][w], k).entries])
+            for m in monos:
+                solver.add((b, w, m), columns.shift(base, m))
 
-    rhs = {columns.key(prefix(s, i, i), (), ()): scale for s in (0, 1) for i in range(n)}
-    combo = solver.solve(rhs)
-    if combo is None:
-        return None
-    entries = [[Env.zero() for _ in range(n)] for _ in range(n)]
-    for (a, b, w, m), c in combo.items():
-        entries[a][b] = entries[a][b] + Env({w: Poly({m: c})})
+    entries = []
+    for a in range(n):
+        combo = solver.solve({columns.key(a, (), ()): scale})
+        if combo is None:
+            return None
+        row = [Env.zero() for _ in range(n)]
+        for (b, w, m), c in combo.items():
+            row[b] = row[b] + Env({w: Poly({m: c})})
+        entries.append(row)
     return EnvMatrix(entries)
 
 
@@ -265,6 +254,13 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BU
     length <= hdeg_bound with polynomial coefficients of degree <=
     coeff_deg_bound.  An "invertible" result is always re-verified by
     multiplying out; "unknown" is never a claim of non-invertibility.
+
+    The box search solves only V*J = I (_search_box).  A two-sided inverse
+    is also the only left inverse: V*J = I gives V = (V*J)*V0 = V0 for any
+    two-sided inverse V0.  So a solved V with V*J != I is a defect and
+    raises AssertionError, and a solved V with J*V != I means that the box
+    holds no two-sided inverse, which is "unknown" as when the left
+    system has no solution.
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -296,8 +292,11 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BU
     V = _search_box(J, hb, cb, n_vars)
     if V is None:
         return InversionResult("unknown", None, exhausted)
-    if not _verify_inverse(J, V):
-        raise AssertionError("solved inverse failed verification")
+    ident = identity_matrix(n)
+    if mat_mul(V, J) != ident:
+        raise AssertionError("solved left inverse failed verification")
+    if mat_mul(J, V) != ident:
+        return InversionResult("unknown", None, exhausted)
     return InversionResult("invertible", V, exhausted)
 
 

@@ -261,13 +261,12 @@ class ColumnBuilder:
     the h-word, padded with 0 on the right; then the monomial part
     code(mono) = deg * R**P + sum(e_w * R**idx(w)), where idx numbers in
     graded-lex order the P basis words of `monos` and of the bases.  R - 1
-    is at least the largest monomial degree of a `shifted` base plus that
-    of `monos`, so no digit carries and code(m * m2) = code(m) + code(m2).
-    The rows sort like (prefix, graded_lex_key(word), deg, exponent vector,
-    most significant last).  The caller builds all bases before the first
-    column: every u that `flatten` will see (`shifted`) and `coded` will
-    see (`placed`), and the `suffixes` of `place`.  They fix the radices,
-    and each code is checked against them.
+    is the largest monomial degree of a base plus that of `monos`, so no
+    digit carries and code(m * m2) = code(m) + code(m2).  The rows sort
+    like (prefix, graded_lex_key(word), deg, exponent vector, most
+    significant last).  The caller builds all bases before the first
+    column, since they fix the radices, and each code is checked against
+    them.
 
     The h-word part stays on top: SparseSolver reduces a column at its
     largest row, which then lies in the column's leading h-word, fixed by w
@@ -275,7 +274,7 @@ class ColumnBuilder:
     benchmark made about 18 times as many elimination steps and took twice
     as long.  No row order changes a kernel or a solution (see linalg).
 
-    An element u is flattened once into (row, coefficient) entries, a
+    A base u is flattened once into (row, coefficient) entries, a
     linalg.Base with its top row; the column of m * u has them at
     row + code(m), code(m) memoized per m for the lifetime of the builder,
     which is one search.  `shift` returns that column unbuilt (a
@@ -283,36 +282,30 @@ class ColumnBuilder:
     columns of one base have distinct leads, and columns of different
     bases rarely share one, so SparseSolver stores nearly every column as
     it is (a fresh column, see linalg) and builds one only when a
-    reduction reads it.  `coded` and `place` serve the other side, u * h_w
-    for one u and many suffixes w: u is split by h-word into (monomial
-    code, coefficient) entries once, and the row of each (prefix, h-word +
-    suffix) is memoized.
+    reduction reads it.
 
-    The searches hand the builder the entries of their D-scaled system:
-    the elements multiplied by D, the lcm of their coefficient
-    denominators.  The bracket structure constants are integers, so every
-    product of a scaled element with an h-word or a monomial has integer
-    coefficients, and the builder emits them as ints (a coefficient that
-    is not integral stays a Fraction).  Scaling every column by D changes
-    no kernel.
+    The searches hand the builder the bases of their D-scaled system: the
+    elements multiplied by D, the lcm of their coefficient denominators.
+    The bracket structure constants are integers, so every product of a
+    scaled element with an h-word or a monomial has integer coefficients,
+    and the builder emits them as ints (a coefficient that is not integral
+    stays a Fraction).  Scaling every column by D changes no kernel.
     """
 
-    def __init__(self, shifted, monos, placed=(), suffixes=(), prefixes=1):
-        hwords = [{w for u in us for w in u.terms} for us in (shifted, placed)]
-        mono_sets = [{m for u in us for p in u.terms.values() for m in p.terms} for us in (shifted, placed)]
-        deg = [max(map(poisson.mono_deg, ms), default=0) for ms in (*mono_sets, monos)]
-        hlen = [max(map(len, ws), default=0) for ws in (*hwords, suffixes)]
+    def __init__(self, bases, monos, prefixes=1):
+        hwords = {w for u in bases for w in u.terms}
+        base_monos = {m for u in bases for p in u.terms.values() for m in p.terms}
         self._prefixes = prefixes
-        self._letters = 1 + max((a for w in [*hwords[0], *hwords[1], *suffixes] for a in w), default=0)
-        self._hlen = max(hlen[0], hlen[1] + hlen[2])
-        self._shift_deg = deg[2]
-        self._deg = max(deg[0] + deg[2], deg[1])
+        self._letters = 1 + max((a for w in hwords for a in w), default=0)
+        self._hlen = max(map(len, hwords), default=0)
+        self._shift_deg = max(map(poisson.mono_deg, monos), default=0)
+        self._deg = max(map(poisson.mono_deg, base_monos), default=0) + self._shift_deg
         radix = self._deg + 1
-        words = sorted({w for m in [*mono_sets[0], *mono_sets[1], *monos] for w, _ in m}, key=graded_lex_key)
+        words = sorted({w for m in [*base_monos, *monos] for w, _ in m}, key=graded_lex_key)
         self._place = {w: radix**i for i, w in enumerate(words)}
         self._top = radix ** len(words)
         self._mono = self._top * radix
-        self._offsets, self._rows = {}, {}
+        self._offsets = {}
 
     def _code(self, m, max_deg):
         d = poisson.mono_deg(m)
@@ -341,21 +334,6 @@ class ColumnBuilder:
             row = self._row(prefix, w)
             out.extend((row + self._code(m, max_deg), _int(c)) for m, c in p.terms.items())
         return Base(out)
-
-    def coded(self, u):
-        """u as (h-word, [(monomial code, coefficient), ...]) pairs, for `place`."""
-        return [(w, [(self._code(m, self._deg), _int(c)) for m, c in p.terms.items()]) for w, p in u.terms.items()]
-
-    def place(self, coded, prefix, suffix, col):
-        """col with the entries of u * h_suffix added, u given by `coded(u)`."""
-        rows = self._rows
-        for w, entries in coded:
-            row = rows.get((prefix, w, suffix))
-            if row is None:
-                row = rows[prefix, w, suffix] = self._row(prefix, w + suffix)
-            for code, c in entries:
-                col[row + code] = c
-        return col
 
     def shift(self, base, m):
         """The column of m * (flattened base), unbuilt (a linalg.Shifted)."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from freepoisson import depend
+from freepoisson import calculus, depend
 from freepoisson.calculus import (
     Endomorphism,
     EnvMatrix,
@@ -18,8 +18,9 @@ from freepoisson.calculus import (
     pair_status,
 )
 from freepoisson.env import Env, env_mul, ham
+from freepoisson.linalg import SparseSolver
 from freepoisson.poisson import Poly, p_bracket
-from freepoisson.sampling import rand_lie, rand_poly, rand_tame_automorphism
+from freepoisson.sampling import rand_env, rand_lie, rand_poly, rand_scalar, rand_tame_automorphism
 
 X1 = Poly.generator(1)
 X2 = Poly.generator(2)
@@ -181,6 +182,98 @@ def test_invert_shrinks_the_box_by_counting():
     assert (res.status, res.exhausted) == ("unknown", False)
     res = invert_jacobian_bounded(J, 10**9, 10**9, budget=100)
     assert (res.status, res.exhausted) == ("unknown", False)
+
+
+def two_sided_search(J, hb, cb, n_vars):
+    """Exact solve of V*J = I and J*V = I with V confined to the box, as
+    _search_box made it before it solved V*J = I alone: the reference for
+    the left-only search.
+
+    The unknown (a, b, w, m) is the coefficient of m * h_w in V[a][b]; its
+    column holds m * (h_w * J[b][k]) at the rows ("L", a, k, word, mono)
+    and (J[i][a] * m) * h_w at the rows ("R", i, b, word, mono).  The rows
+    are tuples here, not the ColumnBuilder ints, and J is not scaled to
+    integers; neither changes a solution (see linalg).
+    """
+    n = J.n
+    words = depend.words_up_to(n_vars, hb)
+    monos = depend.monomials_up_to(n_vars, cb)
+    left = [[depend.h_word_products(u, words) for u in row] for row in J.entries]
+    right = {
+        (i, a, m): env_mul(J.entries[i][a], Env.from_poly(Poly({m: 1})))
+        for i in range(n)
+        for a in range(n)
+        for m in monos
+    }
+    solver = SparseSolver()
+    for a in range(n):
+        for b in range(n):
+            for w in words:
+                for m in monos:
+                    col = {}
+                    for k in range(n):
+                        for word, p in left[b][k][w].terms.items():
+                            for mono, c in (Poly({m: 1}) * p).terms.items():
+                                col["L", a, k, word, mono] = c
+                    for i in range(n):
+                        for word, p in right[i, a, m].terms.items():
+                            for mono, c in p.terms.items():
+                                col["R", i, b, word + w, mono] = c
+                    solver.add((a, b, w, m), col)
+    combo = solver.solve({(side, i, i, (), ()): 1 for side in "LR" for i in range(n)})
+    if combo is None:
+        return None
+    entries = [[Env.zero() for _ in range(n)] for _ in range(n)]
+    for (a, b, w, m), c in combo.items():
+        entries[a][b] = entries[a][b] + Env({w: Poly({m: c})})
+    return EnvMatrix(entries)
+
+
+def elementary_pair(rng):
+    """E12(c1 h(x_i)) E21(c2 x_j), which has an h-term and an inverse in the box (1, 1)."""
+    i, j = rng.randint(1, 2), rng.randint(1, 2)
+    u = Env({(i,): Poly.constant(rand_scalar(rng))})
+    v = Env.from_poly(rand_scalar(rng) * Poly.generator(j))
+    return EnvMatrix([[Env.one() + env_mul(u, v), u], [v, Env.one()]])
+
+
+def test_left_search_matches_the_two_sided_search(monkeypatch):
+    rng = random.Random(71)
+    pairs = [elementary_pair(rng) for _ in range(6)]
+    one = Env.one()
+    u = Env({(1,): Poly.constant(Fraction(2, 3))})
+    v = Env.from_poly(Fraction(-5, 7) * X2)
+    X3 = Poly.generator(3)
+    cases = [(J, 2, 4) for J in pairs]
+    cases += [(mat_mul(a, b), 2, 4) for a, b in zip(pairs[::2], pairs[1::2])]
+    cases.append((EnvMatrix([[one + env_mul(u, v), u], [v, one]]), 2, 4))
+    for images in ([X1 * X1, X2], [X1 * X1], [X1 + p_bracket(X2, X3), X2, X3], [X1, X2 * X3, X3]):
+        cases += [(jacobian(Endomorphism(len(images), images)), hb, cb) for hb, cb in ((1, 1), (1, 2))]
+    cases += [(EnvMatrix([[rand_env(rng, 2, 1, 1) for _ in range(n)] for _ in range(n)]), 1, 2) for n in (1, 2) * 5]
+    searched = []
+
+    def reference(*args):
+        searched.append(args)
+        return two_sided_search(*args)
+
+    statuses = []
+    for J, hb, cb in cases:
+        got = invert_jacobian_bounded(J, hb, cb)
+        with monkeypatch.context() as m:
+            m.setattr(calculus, "_search_box", reference)
+            want = invert_jacobian_bounded(J, hb, cb)
+        assert (got.status, got.V, got.exhausted) == (want.status, want.V, want.exhausted)
+        statuses.append(got.status)
+    # every case reaches the box search, and both outcomes occur
+    assert len(searched) == len(cases)
+    assert statuses.count("invertible") >= 12 and statuses.count("unknown") >= 16
+
+
+def test_a_wrong_left_inverse_raises(monkeypatch):
+    J = jacobian(Endomorphism(2, [X1 * X1, X2]))
+    monkeypatch.setattr(calculus, "_search_box", lambda *args: identity_matrix(2))
+    with pytest.raises(AssertionError):
+        invert_jacobian_bounded(J, 1, 1)
 
 
 def one_step_shrink(n, n_vars, hb, cb, budget):

@@ -182,11 +182,11 @@ def test_brute_force_dependence():
     assert brute_force_dependence([Env.from_poly(X1), Env.from_poly(X2)], 0, 1, n=2) is not None
 
 
-def tuple_rows(u, m, prefix=(), suffix=()):
+def tuple_rows(u, m, prefix=()):
     """Column of m * u through full Poly products, at the keys
     (prefix, h-word, monomial)."""
     return {
-        (prefix, w + suffix, mm): c
+        (prefix, w, mm): c
         for w, p in u.terms.items()
         for mm, c in (Poly({m: 1}) * p).terms.items()
     }
@@ -199,36 +199,24 @@ def test_column_builder_matches_products():
     words = words_up_to(n, hb)
     elements = [rand_env_nonzero(rng, n, 3, 3, terms=rng.randint(1, 4)) for _ in range(40)]
     # the rows of brute_force_dependence, and those of _search_box with the
-    # prefixes ("L"|"R", i, j), i, j < 2, coded (side * 2 + i) * 2 + j
-    search_box = [
-        ((side, i, j), (k * 2 + i) * 2 + j)
-        for k, side in enumerate("LR")
-        for i in (0, 1)
-        for j in (0, 1)
-    ]
+    # prefix k < 2, the column of V*J
+    search_box = [((k,), k) for k in (0, 1)]
     # every base is drawn first, since the bases fix the builder's radices:
-    # (prefix, code, u, suffix, monomials to shift by or None to place)
+    # (prefix, code, u, monomials to shift by), u = h_w * s
     groups = []
     for prefixes in ([((), 0)], search_box):
         draws = []
         for s in elements:
-            for prefix, code in rng.sample(prefixes, min(2, len(prefixes))):
-                w = rng.choice(words)
-                if prefix[:1] == ("R",):  # (s * m) * h_w, placed at the suffix w
-                    u = env_mul(s, Env.from_poly(Poly({rng.choice(monos): 1})))
-                    draws.append((prefix, code, u, w, None))
-                else:  # m * (h_w * s)
-                    u = env_mul(Env({w: Poly.one()}), s)
-                    draws.append((prefix, code, u, (), rng.sample(monos, 6)))
+            for prefix, code in prefixes:
+                u = env_mul(Env({rng.choice(words): Poly.one()}), s)
+                draws.append((prefix, code, u, rng.sample(monos, 6)))
         groups.append(draws)
-    every = [d for draws in groups for d in draws]
-    shifted = [u for _, _, u, _, shifts in every if shifts is not None]
-    placed = [elements[0], *(u for _, _, u, _, shifts in every if shifts is None)]
-    builder = ColumnBuilder(shifted, monos, placed, words, len(search_box))
+    bases = [u for draws in groups for _, _, u, _ in draws]
+    builder = ColumnBuilder(bases, monos, len(search_box))
     # the order the int rows keep: (prefix, graded_lex_key(word), deg, exponent
     # vector over the interned basis words, most significant last); the words
     # are those of the monomials and the bases, in graded-lex order
-    base_monos = [m for u in shifted + placed for p in u.terms.values() for m in p.terms]
+    base_monos = [m for u in bases for p in u.terms.values() for m in p.terms]
     interned = sorted({bw for m in [*monos, *base_monos] for bw, _ in m}, key=graded_lex_key)
 
     def order(prefix, word, mono):
@@ -237,14 +225,7 @@ def test_column_builder_matches_products():
 
     for draws in groups:
         rows = {}
-        for prefix, code, u, suffix, shifts in draws:
-            if shifts is None:
-                want = tuple_rows(u, (), prefix, suffix)
-                keys = {k: builder.key(code, k[1], k[2]) for k in want}
-                got = builder.place(builder.coded(u), code, suffix, {})
-                assert got == {keys[k]: c for k, c in want.items()}
-                rows.update(keys)
-                continue
+        for prefix, code, u, shifts in draws:
             flat = builder.flatten(u, code)
             for m in shifts:
                 want = tuple_rows(u, m, prefix)
@@ -257,23 +238,15 @@ def test_column_builder_matches_products():
         # the int rows sort exactly in that order, and no two coincide
         assert len(set(rows.values())) == len(rows) > 1500
         assert [rows[k] for k in sorted(rows, key=lambda k: order(*k))] == sorted(rows.values())
-    # entries add to a given column
-    u = elements[0]
-    col = builder.place(builder.coded(u), 5, (1, 2), {-1: 1})
-    assert col == {-1: 1, **builder.place(builder.coded(u), 5, (1, 2), {})}
 
 
 def test_column_builder_rejects_codes_outside_its_radices():
-    # one letter; shifts by monomials of degree <= 2 of a base of degree 1,
-    # so monomial degrees up to 3; h-words of length <= 1, and suffixes of
-    # length <= 1 after those of the placed base; two prefixes
-    builder = ColumnBuilder([Env({(1,): X1})], monomials_up_to(1, 2), [Env({(1,): X1})], words_up_to(1, 1), 2)
-    x1 = ((1,), 1)
+    # one letter; shifts by monomials of degree <= 2 of bases of degree <= 1,
+    # so monomial degrees up to 3; h-words of length <= 2; two prefixes
+    builder = ColumnBuilder([Env({(1,): X1}), Env({(1, 1): Poly.one()})], monomials_up_to(1, 2), 2)
     assert builder.key(1, (1, 1), (((1,), 3),)) > builder.key(1, (1,), (((1,), 3),))
     flat = builder.flatten(Env({(1,): X1}), 1)
     assert builder.shift(flat, (((1,), 2),)).build() == {builder.key(1, (1,), (((1,), 3),)): 1}
-    coded = builder.coded(Env({(1,): X1}))
-    assert builder.place(coded, 0, (1,), {}) == {builder.key(0, (1, 1), (x1,)): 1}
     unknown_word = (((1, 2), 1),)  # [x1, x2] was never interned
     unknown_letter = (((2,), 1),)
     outside = [
@@ -290,12 +263,8 @@ def test_column_builder_rejects_codes_outside_its_radices():
         lambda: builder.flatten(Env({(2,): X1})),
         lambda: builder.flatten(Env({(1, 1, 1): X1})),
         lambda: builder.flatten(Env({(): X1}), 2),
-        lambda: builder.coded(Env({(): Poly({unknown_word: 1})})),
-        lambda: builder.coded(Env({(): X1**4})),
         lambda: builder.shift(flat, (((1,), 3),)),
         lambda: builder.shift(flat, unknown_word),
-        lambda: builder.place(coded, 0, (1, 1), {}),
-        lambda: builder.place(coded, 2, (), {}),
     ]
     for make in outside:
         with pytest.raises(ValueError):
