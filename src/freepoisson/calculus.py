@@ -181,10 +181,11 @@ def _search_box(J, hb, cb, n_vars):
     of D*J, D the lcm of the coefficient denominators of J (see
     depend.ColumnBuilder), so row a solves against D * e_a.  One solver
     holds the columns and answers the n right-hand sides.  Each
-    h_w * D*J[b][k] is built once along the word trie, the n of them for
-    one (b, w) are flattened once into one base, and the column of m is
-    that base shifted by code(m), which the solver stores unbuilt when no
-    pivot holds its lead (see linalg).
+    h_w * D*J[b][k] is built once by the derivation rule
+    (depend.h_word_products), the n of them for one (b, w) are flattened
+    into one base, and its columns, shifted by code(m), go in together
+    (SparseSolver.add_shifted).  A kernel, some V != 0 in the box with
+    V*J = 0, does not end the search: the later columns are still added.
     """
     n = J.n
     words = depend.words_up_to(n_vars, hb)
@@ -193,12 +194,13 @@ def _search_box(J, hb, cb, n_vars):
     bases = [[depend.h_word_products(u * scale, words) for u in row] for row in J.entries]
     columns = depend.ColumnBuilder([v for row in bases for u in row for v in u.values()], monos, n)
 
+    codes = columns.offsets(monos)
     solver = SparseSolver()
     for b in range(n):
         for w in words:
             base = Base([e for k in range(n) for e in columns.flatten(bases[b][k][w], k).entries])
-            for m in monos:
-                solver.add((b, w, m), columns.shift(base, m))
+            for _ in solver.add_shifted(base, [(off, (b, w, m)) for off, m in zip(codes, monos)]):
+                pass
 
     entries = []
     for a in range(n):

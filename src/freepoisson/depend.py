@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import freelie, poisson
-from .core import BudgetError, graded_lex_key
+from .core import BudgetError, accumulate, graded_lex_key
 from .env import Env, env_mul, ldc, ldm, word_right_divides
-from .linalg import Base, Shifted, SparseSolver
+from .linalg import Base, SparseSolver
 from .poisson import Poly
 
 
@@ -205,11 +205,27 @@ def monomials_up_to(n, max_deg):
 
 def h_word_products(u, words):
     """{w: h_w * u} for w in `words`, shortest first as words_up_to lists
-    them, each made as h_(w[0]) * (h_(w[1:]) * u)."""
-    done = {}
-    for w in words:
-        done[w] = env_mul(Env.h_generator(w[0]), done[w[1:]]) if w else u
-    return done
+    them, each made as h_(w[0]) * (h_(w[1:]) * u).
+
+    Since {x_a, .} is a derivation, h_a * (p h_v) = p h_(a,v) + {x_a, p} h_v,
+    and {x_a, p} is the sum of c * {x_a, m} over the terms c*m of p.  Each
+    {x_a, m} is bracketed once, into a table local to the call, so the table
+    holds at most one entry per (letter, monomial) pair of these products.
+    """
+    table = {}
+    done = {(): {v: p.terms for v, p in u.terms.items()}}
+    for w in filter(None, words):
+        a, out = w[0], {}
+        for v, p in done[w[1:]].items():
+            accumulate(out.setdefault((a,) + v, {}), p.items())
+            bracket = out.setdefault(v, {})
+            for m, c in p.items():
+                if (a, m) not in table:
+                    br = poisson.p_bracket(Poly.generator(a), Poly._make({m: 1}))
+                    table[a, m] = [(k, _int(t)) for k, t in br.terms.items()]
+                accumulate(bracket, table[a, m], c)
+        done[w] = {v: p for v, p in out.items() if p}
+    return {w: Env._make({v: Poly._make(p) for v, p in done[w].items()}) for w in words}
 
 
 def box_size(n, max_len, max_deg, cap):
@@ -274,15 +290,11 @@ class ColumnBuilder:
     benchmark made about 18 times as many elimination steps and took twice
     as long.  No row order changes a kernel or a solution (see linalg).
 
-    A base u is flattened once into (row, coefficient) entries, a
-    linalg.Base with its top row; the column of m * u has them at
-    row + code(m), code(m) memoized per m for the lifetime of the builder,
-    which is one search.  `shift` returns that column unbuilt (a
-    linalg.Shifted, the base and code(m)), with lead top + code(m): all
-    columns of one base have distinct leads, and columns of different
-    bases rarely share one, so SparseSolver stores nearly every column as
-    it is (a fresh column, see linalg) and builds one only when a
-    reduction reads it.
+    A base u is flattened once into a linalg.Base of (row, coefficient)
+    entries, and the column of m * u has them at row + code(m).  `offsets`
+    gives code(m) for every monomial of the search, once per search; the
+    caller hands a base and its (code(m), column id) pairs to
+    SparseSolver.add_shifted, which stores nearly every column unbuilt.
 
     The searches hand the builder the bases of their D-scaled system: the
     elements multiplied by D, the lcm of their coefficient denominators.
@@ -305,7 +317,6 @@ class ColumnBuilder:
         self._place = {w: radix**i for i, w in enumerate(words)}
         self._top = radix ** len(words)
         self._mono = self._top * radix
-        self._offsets = {}
 
     def _code(self, m, max_deg):
         d = poisson.mono_deg(m)
@@ -326,8 +337,8 @@ class ColumnBuilder:
         return self._row(prefix, word) + self._code(mono, self._deg)
 
     def flatten(self, u, prefix=0):
-        """The entries of u as a linalg.Base, for `shift`; the h-word w
-        gives the row of (prefix, w)."""
+        """The entries of u as a linalg.Base; the h-word w gives the row of
+        (prefix, w)."""
         max_deg = self._deg - self._shift_deg
         out = []
         for w, p in u.terms.items():
@@ -335,12 +346,9 @@ class ColumnBuilder:
             out.extend((row + self._code(m, max_deg), _int(c)) for m, c in p.terms.items())
         return Base(out)
 
-    def shift(self, base, m):
-        """The column of m * (flattened base), unbuilt (a linalg.Shifted)."""
-        off = self._offsets.get(m)
-        if off is None:
-            off = self._offsets[m] = self._code(m, self._shift_deg)
-        return Shifted(base, off)
+    def offsets(self, monos):
+        """[code(m) for m in monos], the shifts of the columns m * u."""
+        return [self._code(m, self._shift_deg) for m in monos]
 
 
 def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
@@ -354,18 +362,13 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     the span has more than BOX_BUDGET unknowns.
 
     The search runs on the D-scaled elements (see ColumnBuilder), which
-    have the same kernel.  Each h_w * s_r is computed once, as
-    h_(w[0]) * (h_(w[1:]) * s_r) along the word trie; all of these bases
-    are built before the first column, since they fix the radices of the
-    row codes.  Each base is flattened once, and the columns m * h_w * s_r
-    for all monomials m are made by adding the code of m to its rows
-    (ColumnBuilder).  Those columns stay unbuilt: a column leads at
-    lead(h_w * s_r) + code(m), and almost every lead is one that no pivot
-    holds yet, so the solver stores the column with the combination
-    {(r, w, m): 1}, the pair that elimination would hold, without reading
-    it.
-    Only the few columns that meet a pivot, and the pivots that a
-    reduction reads, are built into dicts.
+    have the same kernel.  Each base h_w * s_r is built once, by the
+    derivation rule along the word trie (h_word_products), before the
+    first column, since the bases fix the radices of the row codes.  The
+    columns m * h_w * s_r of one base go to the solver together
+    (SparseSolver.add_shifted), which stores a column that no pivot leads
+    at unbuilt, with the combination {(r, w, m): 1}.  The search stops at
+    the first kernel.
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -385,20 +388,19 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     scale = denominator_lcm(elements)
     bases = [h_word_products(s * scale, words) for s in elements]
     columns = ColumnBuilder([u for b in bases for u in b.values()], monos)
+    codes = columns.offsets(monos)
     solver = SparseSolver()
     for r, products in enumerate(bases):
         for w, base in products.items():
-            base = columns.flatten(base)
-            for m in monos:
-                kernel = solver.add((r, w, m), columns.shift(base, m))
-                if kernel is not None:
-                    witness = [Env.zero() for _ in elements]
-                    for (r_, w_, m_), c in kernel.items():
-                        witness[r_] = witness[r_] + Env({w_: Poly({m_: c})})
-                    witness = tuple(witness)
-                    if not verify_witness(witness, elements):
-                        raise AssertionError("oracle produced an invalid witness")
-                    return witness
+            shifts = [(off, (r, w, m)) for off, m in zip(codes, monos)]
+            for kernel in solver.add_shifted(columns.flatten(base), shifts):
+                witness = [Env.zero() for _ in elements]
+                for (r_, w_, m_), c in kernel.items():
+                    witness[r_] = witness[r_] + Env({w_: Poly({m_: c})})
+                witness = tuple(witness)
+                if not verify_witness(witness, elements):
+                    raise AssertionError("oracle produced an invalid witness")
+                return witness
     return None
 
 

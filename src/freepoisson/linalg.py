@@ -1,14 +1,14 @@
 """Exact sparse Gaussian elimination over the rationals, carried out in
 integers.
 
-Columns arrive one at a time, as dicts row-key -> int or Fraction or as
-unbuilt `Shifted` columns; row keys can be any mutually comparable
-values.  Each registered column is reduced against the current pivots at
-its largest row key.  A column that reduces to zero yields the
-combination of previously added columns that produced it, which is
-exactly the kernel/solution certificate the callers need.  Kernels and
-solutions do not depend on the order of the row keys, but the fill-in
-does.
+Columns arrive one at a time as dicts row-key -> int or Fraction (`add`),
+or a base at a time as the shifts {row + off: c} of one shared `Base`
+(`add_shifted`); row keys can be any mutually comparable values.  Each
+column is reduced against the current pivots at its largest row key.  A
+column that reduces to zero yields the combination of previously added
+columns that produced it, which is exactly the kernel/solution
+certificate the callers need.  Kernels and solutions do not depend on the
+order of the row keys, but the fill-in does.
 
 The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  A
 column with Fraction entries is first multiplied by the lcm of their
@@ -29,14 +29,14 @@ column, or the product of the step factors) is the same rational vector.
 A fresh column is one whose entries are all nonzero ints and whose lead
 row no pivot holds yet.  No step touches it, so the pair that elimination
 would store is the column itself with the combination {col_id: 1}, which
-is primitive; the solver stores the column as it was handed in, without
-building or copying it.  The bounded searches make almost only fresh
-columns: m * h_w * s leads at lead(h_w * s) + code(m), and two columns
-rarely share one.  A stored `Shifted` column is built into a dict, which
-replaces it in place, the first time a reduction reads it as a pivot.  A
-column whose lead row is taken is built (or copied) into a private dict
-and reduced as above.  The solver never changes a column it was handed,
-and the caller must not change one after handing it in.
+is primitive.  `add` stores such a dict as it was handed in, and
+`add_shifted` stores it unbuilt, as the pair (base, off), which a
+reduction builds into a dict in place the first time it reads it as a
+pivot.  The bounded searches make almost only fresh columns: m * h_w * s
+leads at lead(h_w * s) + code(m), and two columns rarely share one.  Any
+other column is built (or copied) into a private dict and reduced.  The
+solver never changes a column it was handed, and the caller must not
+change one after handing it in.
 """
 
 import math
@@ -46,9 +46,9 @@ from .core import accumulate
 
 
 class Base:
-    """(row, coefficient) entries with distinct rows, shared by the
-    `Shifted` columns made from them; their top row and whether every
-    coefficient is a nonzero int are found once, here."""
+    """(row, coefficient) entries with distinct rows, shared by the columns
+    {row + off: c} that `SparseSolver.add_shifted` makes of them; their top
+    row and whether every coefficient is a nonzero int are found once, here."""
 
     __slots__ = ("entries", "top", "integral")
 
@@ -58,53 +58,21 @@ class Base:
         self.integral = all(type(c) is int and c for _, c in entries)
 
 
-class Shifted:
-    """The column {row + off: c for row, c in base.entries}, unbuilt.
-
-    Its lead is base.top + off (None for an empty base), and len() is its
-    entry count, the nonzeros of the built column when the base has no
-    zero coefficient.
-    """
-
-    __slots__ = ("base", "off", "lead")
-
-    def __init__(self, base, off):
-        self.base = base
-        self.off = off
-        self.lead = None if base.top is None else base.top + off
-
-    def __len__(self):
-        return len(self.base.entries)
-
-    def build(self):
-        off = self.off
-        return {row + off: c for row, c in self.base.entries}
-
-
-def _fresh_lead(vec):
-    """The lead row of a nonzero column whose entries are all nonzero ints, else None."""
-    if isinstance(vec, Shifted):
-        return vec.lead if vec.base.integral else None
-    vals = vec.values()
-    if vec and 0 not in vals and set(map(type, vals)) <= {int}:
-        return max(vec)
-    return None
-
-
 def _integral(vec):
     """(v, d): a new dict v of nonzero ints and an int d > 0 with v = d * vec."""
-    if isinstance(vec, Shifted):
-        vec = vec.build()
     vec = {k: Fraction(c) for k, c in vec.items() if c}
     d = math.lcm(*(c.denominator for c in vec.values()))
     return {k: c.numerator * (d // c.denominator) for k, c in vec.items()}, d
 
 
 class SparseSolver:
+    """Columns go in by `add` or `add_shifted`, and each dependent one gives
+    its kernel; `solve` expresses a right-hand side in the columns."""
+
     def __init__(self):
         # row key -> (primitive int column with that lead, int combo over
         # column ids); the column is a dict or, until it is first read, a
-        # fresh Shifted column as it was handed in
+        # fresh shifted column as the pair (base, off)
         self.pivots = {}
 
     def _reduce(self, vec, combo):
@@ -121,8 +89,9 @@ class SparseSolver:
             if piv is None:
                 return k, s
             pvec, pcombo = piv
-            if isinstance(pvec, Shifted):
-                pvec = pvec.build()
+            if type(pvec) is tuple:
+                base, off = pvec
+                pvec = {row + off: c for row, c in base.entries}
                 self.pivots[k] = pvec, pcombo
             p, v = pvec[k], vec[k]
             g = math.gcd(p, v)
@@ -139,21 +108,9 @@ class SparseSolver:
             accumulate(combo, pcombo.items(), b)
         return None, s
 
-    def add(self, col_id, vec):
-        """Register a column: a dict or a Shifted column.
-
-        Returns None if the column is independent of those already seen;
-        otherwise returns {column id: Fraction} with
-        sum(coeff * column) = 0, including this column with coefficient 1.
-        """
-        k = _fresh_lead(vec)
-        if k is None:
-            vec, d = _integral(vec)
-        elif k in self.pivots:
-            vec, d = vec.build() if isinstance(vec, Shifted) else dict(vec), 1
-        else:
-            self.pivots[k] = (vec, {col_id: 1})
-            return None
+    def _insert(self, col_id, vec, d):
+        """Reduce the private int column vec = d * (column col_id) and store
+        it as a primitive pair, or return its kernel as `add` does."""
         combo = {col_id: d}
         k, _ = self._reduce(vec, combo)
         lead = combo[col_id]
@@ -166,6 +123,45 @@ class SparseSolver:
                 combo = {key: c // g for key, c in combo.items()}
         self.pivots[k] = (vec, combo)
         return None
+
+    def add(self, col_id, vec):
+        """Register a dict column.
+
+        Returns None if the column is independent of those already seen;
+        otherwise returns {column id: Fraction} with
+        sum(coeff * column) = 0, including this column with coefficient 1.
+        """
+        vals = vec.values()
+        if not vec or 0 in vals or not set(map(type, vals)) <= {int}:
+            return self._insert(col_id, *_integral(vec))
+        k = max(vec)
+        if k in self.pivots:
+            return self._insert(col_id, dict(vec), 1)
+        self.pivots[k] = (vec, {col_id: 1})
+        return None
+
+    def add_shifted(self, base, shifts):
+        """Register the columns {row + off: c for row, c in base.entries}
+        for the (off, col_id) pairs of `shifts`, in order, as `add` would.
+
+        A generator: it yields the kernel of each column that depends on
+        those before it, as it arises, and registers the next column only
+        when asked for more.  A fresh column (an integral base, and no
+        pivot at its lead base.top + off) is stored as (base, off) with
+        the combination {col_id: 1}, unbuilt and without a call.
+        """
+        pivots = self.pivots
+        top = base.top if base.integral else None
+        for off, col_id in shifts:
+            if top is not None:
+                k = top + off
+                if k not in pivots:
+                    pivots[k] = (base, off), {col_id: 1}
+                    continue
+            vec = {row + off: c for row, c in base.entries}
+            kernel = self._insert(col_id, vec, 1) if top is not None else self._insert(col_id, *_integral(vec))
+            if kernel is not None:
+                yield kernel
 
     def solve(self, rhs):
         """Express rhs as a combination of the registered columns.

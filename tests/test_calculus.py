@@ -276,6 +276,50 @@ def test_a_wrong_left_inverse_raises(monkeypatch):
         invert_jacobian_bounded(J, 1, 1)
 
 
+def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
+    # J[1] = x1 * J[0], so (x1, -1) * J = 0: the column (1, w, m) depends
+    # on (0, w, m*x1) while other columns of the same base do not, and
+    # the solver must hold what adding every built column one at a time holds
+    row = [Env.one() + H1, Env.from_poly(X2)]
+    J = EnvMatrix([row, [Env.from_poly(X1) * u for u in row]])
+    made = []
+
+    class Recording(SparseSolver):
+        def __init__(self):
+            super().__init__()
+            self.fed, self.kernels, self.held_at_kernel = [], [], []
+            made.append(self)
+
+        def add_shifted(self, base, shifts):
+            self.fed.append((base, shifts))
+            for kernel in super().add_shifted(base, shifts):
+                self.kernels.append((kernel, shifts))
+                self.held_at_kernel.append(len(self.pivots))
+                yield kernel
+
+    monkeypatch.setattr(calculus, "SparseSolver", Recording)
+    assert calculus._search_box(J, 1, 2, 2) is None
+    (solver,) = made
+    reference, kernels = SparseSolver(), []
+    for base, shifts in solver.fed:
+        for off, cid in shifts:
+            kernel = reference.add(cid, {r + off: c for r, c in base.entries})
+            if kernel is not None:
+                kernels.append(kernel)
+    assert [k for k, _ in solver.kernels] == kernels
+    assert list(solver.pivots) == list(reference.pivots)
+    for k, (vec, combo) in solver.pivots.items():
+        if type(vec) is tuple:
+            vec = {r + vec[1]: c for r, c in vec[0].entries}
+        assert (vec, combo) == reference.pivots[k]
+    # a kernel arose before the last column of its base, and columns added
+    # after the first kernel became pivots
+    order = [cid for _, shifts in solver.fed for _, cid in shifts]
+    newest = [max(kernel, key=order.index) for kernel, _ in solver.kernels]
+    assert any(cid != shifts[-1][1] for cid, (_, shifts) in zip(newest, solver.kernels))
+    assert len(solver.pivots) > solver.held_at_kernel[0]
+
+
 def one_step_shrink(n, n_vars, hb, cb, budget):
     """The box shrinking of invert_jacobian_bounded one bound at a time,
     as it was before the bisection: the reference for _fit_box."""

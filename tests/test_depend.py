@@ -12,6 +12,7 @@ from freepoisson.depend import (
     composition,
     decide_left_dependence,
     denominator_lcm,
+    h_word_products,
     lambda_shift,
     load_corpus,
     monomials_up_to,
@@ -182,6 +183,31 @@ def test_brute_force_dependence():
     assert brute_force_dependence([Env.from_poly(X1), Env.from_poly(X2)], 0, 1, n=2) is not None
 
 
+def test_h_word_products_match_products_by_generators():
+    # the reference multiplies by one generator at a time through env_mul
+    rng = random.Random(29)
+    checked = 0
+    for n, hb in ((1, 4), (2, 3), (3, 2)):
+        words = words_up_to(n, hb)
+        elements = [Env.zero(), Env.from_poly(Poly.constant(Fraction(-7, 3)))]
+        elements += [rand_env_nonzero(rng, n, 2, 3, terms=rng.randint(1, 4)) for _ in range(12)]
+        assert any(c.denominator > 1 for s in elements for p in s.terms.values() for c in p.terms.values())
+        for s in elements:
+            got = h_word_products(s, words)
+            want = {}
+            for w in words:
+                want[w] = env_mul(Env.h_generator(w[0]), want[w[1:]]) if w else s
+                assert got[w] == want[w], (s, w)
+                checked += not want[w].is_zero()
+            assert list(got) == words
+    assert checked > 300
+
+
+def shifted(base, off):
+    """The column {row + off: c} of a flattened base."""
+    return {row + off: c for row, c in base.entries}
+
+
 def tuple_rows(u, m, prefix=()):
     """Column of m * u through full Poly products, at the keys
     (prefix, h-word, monomial)."""
@@ -230,10 +256,10 @@ def test_column_builder_matches_products():
             for m in shifts:
                 want = tuple_rows(u, m, prefix)
                 keys = {k: builder.key(code, k[1], k[2]) for k in want}
-                col = builder.shift(flat, m)
-                built = col.build()
+                (off,) = builder.offsets([m])
+                built = shifted(flat, off)
                 assert built == {keys[k]: c for k, c in want.items()}
-                assert len(col) == len(built) and col.lead == max(built)
+                assert len(flat.entries) == len(built) and flat.top + off == max(built)
                 rows.update(keys)
         # the int rows sort exactly in that order, and no two coincide
         assert len(set(rows.values())) == len(rows) > 1500
@@ -246,7 +272,7 @@ def test_column_builder_rejects_codes_outside_its_radices():
     builder = ColumnBuilder([Env({(1,): X1}), Env({(1, 1): Poly.one()})], monomials_up_to(1, 2), 2)
     assert builder.key(1, (1, 1), (((1,), 3),)) > builder.key(1, (1,), (((1,), 3),))
     flat = builder.flatten(Env({(1,): X1}), 1)
-    assert builder.shift(flat, (((1,), 2),)).build() == {builder.key(1, (1,), (((1,), 3),)): 1}
+    assert shifted(flat, *builder.offsets([(((1,), 2),)])) == {builder.key(1, (1,), (((1,), 3),)): 1}
     unknown_word = (((1, 2), 1),)  # [x1, x2] was never interned
     unknown_letter = (((2,), 1),)
     outside = [
@@ -263,8 +289,8 @@ def test_column_builder_rejects_codes_outside_its_radices():
         lambda: builder.flatten(Env({(2,): X1})),
         lambda: builder.flatten(Env({(1, 1, 1): X1})),
         lambda: builder.flatten(Env({(): X1}), 2),
-        lambda: builder.shift(flat, (((1,), 3),)),
-        lambda: builder.shift(flat, unknown_word),
+        lambda: builder.offsets([(((1,), 3),)]),
+        lambda: builder.offsets([(((1,), 1),), unknown_word]),
     ]
     for make in outside:
         with pytest.raises(ValueError):

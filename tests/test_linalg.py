@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from freepoisson.linalg import Base, Shifted, SparseSolver
+from freepoisson.linalg import Base, SparseSolver
 
 
 def combine(columns, combo):
@@ -154,94 +154,129 @@ def test_kernels_and_solutions_do_not_depend_on_the_row_order():
     assert dependent > 10 and outside > 5
 
 
+def build(base, off):
+    """The column {row + off: c} of a shared base."""
+    return {row + off: c for row, c in base.entries}
+
+
 def built(solver):
     """The pivots of a solver with every column built into a dict."""
-    return {k: (vec if isinstance(vec, dict) else vec.build(), combo) for k, (vec, combo) in solver.pivots.items()}
+    return {k: (build(*vec) if type(vec) is tuple else vec, combo) for k, (vec, combo) in solver.pivots.items()}
+
+
+def add_one_at_a_time(runs):
+    """A solver fed the built columns of `runs` with `add`, and its kernels in order."""
+    solver, kernels = SparseSolver(), []
+    for base, shifts in runs:
+        for off, cid in shifts:
+            kernel = solver.add(cid, build(base, off))
+            if kernel is not None:
+                kernels.append(kernel)
+    return solver, kernels
 
 
 def shifted_system(rng):
-    """Seeded columns as Shifted over a few shared bases, each with its
-    built dict; rows 0..11, so that kernels and shared leads occur."""
+    """Seeded runs of columns over a few shared bases: a list of
+    (base, [(off, col_id), ...]) with col ids 0, 1, ... in order.  Rows
+    are 0..11, so that kernels and shared leads occur, and an offset may
+    repeat within a run, so that a kernel can arise in the middle of one."""
     bases = []
     for _ in range(rng.randint(2, 4)):
         rows = rng.sample(range(8), rng.randint(1, 4))
         coefficient = lambda: rng.choice([-3, -2, -1, 1, 2, 5]) if rng.random() < 0.9 else Fraction(rng.randint(1, 4), 3)
         bases.append(Base([(r, coefficient()) for r in rows]))
     bases.append(Base([]))  # shifts of it are zero columns
-    columns = []
-    for _ in range(rng.randint(4, 16)):
-        base = rng.choice(bases[:-1]) if rng.random() < 0.95 else bases[-1]
-        columns.append(Shifted(base, rng.randint(0, 4)))
-    return bases, columns
+    runs, cid = [], 0
+    for _ in range(rng.randint(2, 6)):
+        base = rng.choice(bases[:-1]) if rng.random() < 0.9 else bases[-1]
+        count = rng.randint(1, 4)
+        runs.append((base, [(rng.randint(0, 4), c) for c in range(cid, cid + count)]))
+        cid += count
+    return bases, runs
 
 
 def test_shifted_columns_match_dict_columns():
+    # add_shifted registers the columns of a run as add registers their
+    # built dicts one at a time: the same kernels in order, the same pivot
+    # keys, and every pivot built is the same vector and combination
     rng = random.Random(7)
-    built_on_use = kept_unbuilt = dependent = fraction_bases = 0
-    for _ in range(150):
-        bases, columns = shifted_system(rng)
-        fraction_bases += sum(not b.integral for b in bases)
-        dicts = [col.build() for col in columns]
+    built_on_use = kept_unbuilt = dependent = fraction_bases = empty_bases = held = mid_run = 0
+    for _ in range(200):
+        bases, runs = shifted_system(rng)
+        fraction_bases += sum(not b.integral for b, _ in runs)
+        empty_bases += sum(not b.entries for b, _ in runs)
+        dicts = [build(base, off) for base, shifts in runs for off, _ in shifts]
         entries = [list(b.entries) for b in bases]
         given = [dict(d) for d in dicts]
         rhs_in = combine(dict(enumerate(dicts)), {c: rng.randint(-2, 2) for c in range(len(dicts))})
         rhs_out = {r: rng.randint(-2, 2) for r in range(12)}
         rhs_given = [dict(rhs_in), dict(rhs_out)]
-        results, solvers = [], []
-        for feed in (dicts, columns):
-            solver = SparseSolver()
-            kernels = []
-            for cid, col in enumerate(feed):
-                held = solver.pivots.get(getattr(col, "lead", None))
-                kernels.append(solver.add(cid, col))
-                if held is not None and isinstance(held[0], Shifted):
-                    # the lead row was held by a pivot stored unbuilt: it is
+        reference, want = add_one_at_a_time(runs)
+        solver, kernels = SparseSolver(), []
+        for base, shifts in runs:
+            unbuilt = {k: piv for k, piv in solver.pivots.items() if type(piv[0]) is tuple}
+            held += sum(base.top is not None and base.top + off in solver.pivots for off, _ in shifts)
+            for kernel in solver.add_shifted(base, shifts):
+                kernels.append(kernel)
+                mid_run += max(kernel) != shifts[-1][1]
+            for k, (pair, combo) in unbuilt.items():
+                if type(solver.pivots[k][0]) is dict:
+                    # a pivot stored unbuilt was read by a reduction: it is
                     # built in place, to the dict elimination would hold
-                    assert solver.pivots[col.lead] == (held[0].build(), held[1])
+                    assert solver.pivots[k] == (build(*pair), combo)
                     built_on_use += 1
-            solved = [solver.solve(rhs) for rhs in (rhs_in, rhs_out)]
-            results.append((kernels, solved))
-            solvers.append(solver)
-        assert results[0] == results[1]
-        assert built(solvers[0]) == built(solvers[1])
-        kept_unbuilt += sum(isinstance(vec, Shifted) for vec, _ in solvers[1].pivots.values())
-        dependent += sum(k is not None for k in results[0][0])
-        kernels, (inside, _) = results[0]
+        assert kernels == want
+        assert list(solver.pivots) == list(reference.pivots)
+        assert built(solver) == built(reference)
+        solved = [s.solve(rhs) for s in (reference, solver) for rhs in (rhs_in, rhs_out)]
+        assert solved[:2] == solved[2:]
+        kept_unbuilt += sum(type(vec) is tuple for vec, _ in solver.pivots.values())
+        dependent += len(kernels)
+        inside = solved[0]
         assert inside is not None and combine(dict(enumerate(dicts)), inside) == rhs_in
-        for cid, kernel in enumerate(kernels):
-            if kernel is not None:
-                assert combine(dict(enumerate(dicts)), kernel) == {}
+        for kernel in kernels:
+            assert kernel[max(kernel)] == 1 and combine(dict(enumerate(dicts)), kernel) == {}
         # no column handed in, no shared base and no right-hand side changed
         assert dicts == given and [b.entries for b in bases] == entries
         assert [rhs_in, rhs_out] == rhs_given
-    assert built_on_use > 100 and kept_unbuilt > 20 and dependent > 100 and fraction_bases > 10
+    assert built_on_use > 100 and kept_unbuilt > 20 and dependent > 100
+    assert fraction_bases > 10 and empty_bases > 10 and held > 100 and mid_run > 20
+
+
+def test_add_shifted_registers_a_column_only_when_asked():
+    solver = SparseSolver()
+    columns = solver.add_shifted(Base([(0, 1), (1, 2)]), [(0, "a"), (0, "b"), (3, "c")])
+    assert solver.pivots == {}
+    assert next(columns) == {"a": -1, "b": 1}
+    assert list(solver.pivots) == [1]
+    assert list(columns) == [] and list(solver.pivots) == [1, 4]
 
 
 def test_zero_shifted_column_gives_the_unit_kernel():
-    for zero in ({}, Shifted(Base([]), 7)):
+    for add in (lambda s: s.add("z", {}), lambda s: next(s.add_shifted(Base([]), [(7, "z")]))):
         solver = SparseSolver()
         assert solver.add("a", {3: 2}) is None
-        assert solver.add("z", zero) == {"z": 1}
+        assert add(solver) == {"z": 1}
         assert list(solver.pivots) == [3]
 
 
 def test_stored_pivot_nonzeros_match_the_built_pair():
-    # bench/spans.py counts len(pvec) + len(pcombo) of the newest pivot
-    # right after add; an unbuilt pivot must count what building gives
+    # the nonzeros of a stored pivot, read from solver.pivots (the entries
+    # of the base for a pair (base, off)), are those of the built pair
     rng = random.Random(8)
     unbuilt = 0
     for _ in range(100):
-        _, columns = shifted_system(rng)
+        _, runs = shifted_system(rng)
         solver = SparseSolver()
-        for cid, col in enumerate(columns):
-            before = len(solver.pivots)
-            solver.add(cid, col)
-            if len(solver.pivots) > before:
-                pvec, pcombo = next(reversed(solver.pivots.values()))
-                vec, combo = built(solver)[next(reversed(solver.pivots))]
-                nonzeros = sum(1 for c in [*vec.values(), *combo.values()] if c)
-                assert len(pvec) + len(pcombo) == nonzeros
-                unbuilt += isinstance(pvec, Shifted)
+        for base, shifts in runs:
+            for _ in solver.add_shifted(base, shifts):
+                pass
         for k, (vec, combo) in built(solver).items():
-            assert len(solver.pivots[k][0]) + len(combo) == sum(1 for c in [*vec.values(), *combo.values()] if c)
+            pvec = solver.pivots[k][0]
+            stored = len(pvec[0].entries) if type(pvec) is tuple else len(pvec)
+            assert stored + len(combo) == sum(1 for c in [*vec.values(), *combo.values()] if c)
+            unbuilt += type(pvec) is tuple
+        # add stores dicts only, so the newest pivot after add counts its own entries
+        reference, _ = add_one_at_a_time(runs)
+        assert all(type(vec) is dict for vec, _ in reference.pivots.values())
     assert unbuilt > 100
