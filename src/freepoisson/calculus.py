@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import depend, poisson
 from .env import Env, env_mul, ham, split
-from .linalg import Base, SparseSolver
+from .linalg import SparseSolver
 from .poisson import Poly
 
 
@@ -167,50 +167,28 @@ def _verify_inverse(J, V):
 
 
 def _search_box(J, hb, cb, n_vars):
-    """Exact solve of V*J = I with V confined to the box.
-
-    Only the left system is searched.  If J has a two-sided inverse V0 and
-    V*J = I, then V = V*(J*V0) = (V*J)*V0 = V0.  So when the box holds a
-    two-sided inverse, the left system has exactly one solution in the box,
-    and it is that inverse; the caller checks J*V = I by multiplying out.
+    """Exact solve of V*J = I with V confined to the box (the left system
+    alone; see invert_jacobian_bounded).
 
     Row a of V*J = I reads sum_b V[a][b] * J[b][k] = delta_ak, and every
     row of V has the same columns.  The unknown (b, w, m) is the
     coefficient of m * h_w in V[a][b], and its column holds
-    m * (h_w * J[b][k]) at the rows (k, word, mono).  The columns are those
-    of D*J, D the lcm of the coefficient denominators of J (see
-    depend.ColumnBuilder), so row a solves against D * e_a.  One solver
-    holds the columns and answers the n right-hand sides.  Each
-    h_w * D*J[b][k] is built once by the derivation rule
-    (depend.h_word_products), the n of them for one (b, w) are flattened
-    into one base, and its columns, shifted by code(m), go in together
-    (SparseSolver.add_shifted).  A kernel, some V != 0 in the box with
+    m * (h_w * J[b][k]) at the rows (k, word, mono): the column (b, w, m)
+    of a depend.ColumnBuilder over the rows of J, which scales them by D.
+    So row a solves against D * e_a.  One solver holds the columns and
+    answers the n right-hand sides.  A kernel, some V != 0 in the box with
     V*J = 0, does not end the search: the later columns are still added.
     """
-    n = J.n
-    words = depend.words_up_to(n_vars, hb)
-    monos = depend.monomials_up_to(n_vars, cb)
-    scale = depend.denominator_lcm(u for row in J.entries for u in row)
-    bases = [[depend.h_word_products(u * scale, words) for u in row] for row in J.entries]
-    columns = depend.ColumnBuilder([v for row in bases for u in row for v in u.values()], monos, n)
-
-    codes = columns.offsets(monos)
+    columns = depend.ColumnBuilder(J.entries, depend.words_up_to(n_vars, hb), depend.monomials_up_to(n_vars, cb))
     solver = SparseSolver()
-    for b in range(n):
-        for w in words:
-            base = Base([e for k in range(n) for e in columns.flatten(bases[b][k][w], k).entries])
-            for _ in solver.add_shifted(base, [(off, (b, w, m)) for off, m in zip(codes, monos)]):
-                pass
-
+    for _ in columns.kernels(solver):
+        pass
     entries = []
-    for a in range(n):
-        combo = solver.solve({columns.key(a, (), ()): scale})
+    for a in range(J.n):
+        combo = solver.solve({columns.key(a, (), ()): columns.scale})
         if combo is None:
             return None
-        row = [Env.zero() for _ in range(n)]
-        for (b, w, m), c in combo.items():
-            row[b] = row[b] + Env({w: Poly({m: c})})
-        entries.append(row)
+        entries.append(columns.decode(combo))
     return EnvMatrix(entries)
 
 

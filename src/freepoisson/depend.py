@@ -203,29 +203,55 @@ def monomials_up_to(n, max_deg):
     return [m for _, m in sorted(out)]
 
 
-def h_word_products(u, words):
-    """{w: h_w * u} for w in `words`, shortest first as words_up_to lists
-    them, each made as h_(w[0]) * (h_(w[1:]) * u).
+class _Derivation:
+    """h_w * u by the derivation rule, on the monomials of one search
+    interned as ints.
 
     Since {x_a, .} is a derivation, h_a * (p h_v) = p h_(a,v) + {x_a, p} h_v,
-    and {x_a, p} is the sum of c * {x_a, m} over the terms c*m of p.  Each
-    {x_a, m} is bracketed once, into a table local to the call, so the table
-    holds at most one entry per (letter, monomial) pair of these products.
+    and {x_a, p} is the sum of c * {x_a, m} over the terms c*m of p.  Every
+    monomial met, in an input or in a bracket, gets the next int id
+    (`monos` lists them by id), and each {x_a, m} is bracketed once.  So
+    both tables hold one entry per monomial, and per (letter, monomial)
+    pair, of the search that owns them.  Coefficients are ints where
+    integral.
     """
-    table = {}
-    done = {(): {v: p.terms for v, p in u.terms.items()}}
-    for w in filter(None, words):
-        a, out = w[0], {}
-        for v, p in done[w[1:]].items():
-            accumulate(out.setdefault((a,) + v, {}), p.items())
-            bracket = out.setdefault(v, {})
-            for m, c in p.items():
-                if (a, m) not in table:
-                    br = poisson.p_bracket(Poly.generator(a), Poly._make({m: 1}))
-                    table[a, m] = [(k, _int(t)) for k, t in br.terms.items()]
-                accumulate(bracket, table[a, m], c)
-        done[w] = {v: p for v, p in out.items() if p}
-    return {w: Env._make({v: Poly._make(p) for v, p in done[w].items()}) for w in words}
+
+    def __init__(self):
+        self.monos, self._ids, self._brackets = [], {}, {}
+
+    def _intern(self, p):
+        for m in p.terms:
+            if m not in self._ids:
+                self._ids[m] = len(self.monos)
+                self.monos.append(m)
+        return {self._ids[m]: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
+
+    def products(self, u, words):
+        """{w: {v: {id: c}}}, h_w * u = sum of c * monos[id] * h_v, for w in
+        `words`, shortest first as words_up_to lists them, each made as
+        h_(w[0]) * (h_(w[1:]) * u)."""
+        brackets = self._brackets
+        done = {(): {v: self._intern(p) for v, p in u.terms.items()}}
+        for w in filter(None, words):
+            a, out = w[0], {}
+            for v, p in done[w[1:]].items():
+                accumulate(out.setdefault((a,) + v, {}), p.items())
+                bracket = out.setdefault(v, {})
+                for i, c in p.items():
+                    if (a, i) not in brackets:
+                        br = poisson.p_bracket(Poly.generator(a), Poly._make({self.monos[i]: 1}))
+                        brackets[a, i] = list(self._intern(br).items())
+                    accumulate(bracket, brackets[a, i], c)
+            done[w] = {v: p for v, p in out.items() if p}
+        return {w: done[w] for w in words}
+
+
+def h_word_products(u, words):
+    """{w: h_w * u} for w in `words`, shortest first as words_up_to lists
+    them, made by the _Derivation of the bounded searches."""
+    derivation = _Derivation()
+    done, monos = derivation.products(u, words), derivation.monos
+    return {w: Env._make({v: Poly({monos[i]: c for i, c in p.items()}) for v, p in terms.items()}) for w, terms in done.items()}
 
 
 def box_size(n, max_len, max_deg, cap):
@@ -248,10 +274,6 @@ def box_size(n, max_len, max_deg, cap):
     return min(up_to(max_len) * up_to(max_deg), cap + 1)
 
 
-def _int(c):
-    return c.numerator if c.denominator == 1 else c
-
-
 def _infer_n(elements):
     n = 1
     for s in elements:
@@ -270,19 +292,25 @@ def denominator_lcm(elements):
 
 
 class ColumnBuilder:
-    """Columns m * u of a bounded search, built by adding monomial codes.
+    """The columns of one bounded search, built by adding monomial codes.
+
+    `rows` are lists of elements, all of one length K.  The column (i, w, m),
+    for w in `words` and m in `monos`, is m * (h_w * rows[i][k]) at the rows
+    of prefix k < K; its id is (i * len(words) + index of w) * len(monos) +
+    index of m, which `decode` reads back by divmod.  The bases
+    h_w * rows[i][k] are derived with one _Derivation, so their monomials
+    are interned, and each interned monomial is coded once.
 
     A row is one int whose mixed-radix digits are, most significant first:
-    the caller's prefix (below `prefixes`); the length and the letters of
-    the h-word, padded with 0 on the right; then the monomial part
-    code(mono) = deg * R**P + sum(e_w * R**idx(w)), where idx numbers in
-    graded-lex order the P basis words of `monos` and of the bases.  R - 1
-    is the largest monomial degree of a base plus that of `monos`, so no
-    digit carries and code(m * m2) = code(m) + code(m2).  The rows sort
-    like (prefix, graded_lex_key(word), deg, exponent vector, most
-    significant last).  The caller builds all bases before the first
-    column, since they fix the radices, and each code is checked against
-    them.
+    the prefix; the length and the letters of the h-word, padded with 0 on
+    the right; then the monomial part code(mono) = deg * R**P +
+    sum(e_w * R**idx(w)), where idx numbers in graded-lex order the P basis
+    words of `monos` and of the interned monomials.  R - 1 is the largest
+    degree of an interned monomial plus that of `monos`, so no digit
+    carries and code(m * m2) = code(m) + code(m2).  The rows sort like
+    (prefix, graded_lex_key(word), deg, exponent vector, most significant
+    last).  The radices come from every base, so all are derived before
+    the first column, and each code is checked against them.
 
     The h-word part stays on top: SparseSolver reduces a column at its
     largest row, which then lies in the column's leading h-word, fixed by w
@@ -290,33 +318,28 @@ class ColumnBuilder:
     benchmark made about 18 times as many elimination steps and took twice
     as long.  No row order changes a kernel or a solution (see linalg).
 
-    A base u is flattened once into a linalg.Base of (row, coefficient)
-    entries, and the column of m * u has them at row + code(m).  `offsets`
-    gives code(m) for every monomial of the search, once per search; the
-    caller hands a base and its (code(m), column id) pairs to
-    SparseSolver.add_shifted, which stores nearly every column unbuilt.
-
-    The searches hand the builder the bases of their D-scaled system: the
-    elements multiplied by D, the lcm of their coefficient denominators.
-    The bracket structure constants are integers, so every product of a
-    scaled element with an h-word or a monomial has integer coefficients,
-    and the builder emits them as ints (a coefficient that is not integral
-    stays a Fraction).  Scaling every column by D changes no kernel.
+    The bases are those of the rows multiplied by `scale`, the lcm D of
+    their coefficient denominators.  The bracket structure constants are
+    integers, so every column has integer coefficients, kept as ints.
+    Scaling every column by D changes no kernel.
     """
 
-    def __init__(self, bases, monos, prefixes=1):
-        hwords = {w for u in bases for w in u.terms}
-        base_monos = {m for u in bases for p in u.terms.values() for m in p.terms}
-        self._prefixes = prefixes
+    def __init__(self, rows, words, monos):
+        derivation, self.scale = _Derivation(), denominator_lcm(u for row in rows for u in row)
+        self.bases = [[derivation.products(u * self.scale, words) for u in row] for row in rows]
+        hwords = {v for row in self.bases for d in row for terms in d.values() for v in terms}
+        self._words, self._monos, self._prefixes = words, monos, len(rows[0])
         self._letters = 1 + max((a for w in hwords for a in w), default=0)
         self._hlen = max(map(len, hwords), default=0)
         self._shift_deg = max(map(poisson.mono_deg, monos), default=0)
-        self._deg = max(map(poisson.mono_deg, base_monos), default=0) + self._shift_deg
+        base_deg = max(map(poisson.mono_deg, derivation.monos), default=0)
+        self._deg = base_deg + self._shift_deg
         radix = self._deg + 1
-        words = sorted({w for m in [*base_monos, *monos] for w, _ in m}, key=graded_lex_key)
-        self._place = {w: radix**i for i, w in enumerate(words)}
-        self._top = radix ** len(words)
+        basis = sorted({w for m in [*derivation.monos, *monos] for w, _ in m}, key=graded_lex_key)
+        self._place = {w: radix**i for i, w in enumerate(basis)}
+        self._top = radix ** len(basis)
         self._mono = self._top * radix
+        self._codes = [self._code(m, base_deg) for m in derivation.monos]
 
     def _code(self, m, max_deg):
         d = poisson.mono_deg(m)
@@ -336,19 +359,36 @@ class ColumnBuilder:
         """The row of (prefix, h-word, monomial)."""
         return self._row(prefix, word) + self._code(mono, self._deg)
 
-    def flatten(self, u, prefix=0):
-        """The entries of u as a linalg.Base; the h-word w gives the row of
-        (prefix, w)."""
-        max_deg = self._deg - self._shift_deg
-        out = []
-        for w, p in u.terms.items():
-            row = self._row(prefix, w)
-            out.extend((row + self._code(m, max_deg), _int(c)) for m, c in p.terms.items())
-        return Base(out)
+    def flatten(self, terms, prefix=0):
+        """The (row, c) entries of a base {h-word v: {monomial id: c}}, as in
+        `bases`; v gives the row of (prefix, v)."""
+        codes, out = self._codes, []
+        for v, p in terms.items():
+            row = self._row(prefix, v)
+            out.extend((row + codes[i], c) for i, c in p.items())
+        return out
 
     def offsets(self, monos):
         """[code(m) for m in monos], the shifts of the columns m * u."""
         return [self._code(m, self._shift_deg) for m in monos]
+
+    def kernels(self, solver):
+        """Add the columns in id order to `solver`, those of one (i, w) as the
+        shifts of one linalg.Base (SparseSolver.add_shifted), and yield the
+        kernel of each column that depends on those before it."""
+        offs = self.offsets(self._monos)
+        for b, (row, w) in enumerate(itertools.product(self.bases, self._words)):
+            base = Base([e for k, d in enumerate(row) for e in self.flatten(d[w], k)])
+            yield from solver.add_shifted(base, offs, b * len(offs))
+
+    def decode(self, combo):
+        """[sum of c * m * h_w over the ids (i, w, m) of combo] for each i."""
+        out = [Env.zero() for _ in self.bases]
+        for col_id, c in combo.items():
+            iw, t = divmod(col_id, len(self._monos))
+            i, w = divmod(iw, len(self._words))
+            out[i] = out[i] + Env({self._words[w]: Poly({self._monos[t]: c})})
+        return out
 
 
 def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
@@ -361,14 +401,8 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     the bounds.  Raises BudgetError, before enumerating anything, when
     the span has more than BOX_BUDGET unknowns.
 
-    The search runs on the D-scaled elements (see ColumnBuilder), which
-    have the same kernel.  Each base h_w * s_r is built once, by the
-    derivation rule along the word trie (h_word_products), before the
-    first column, since the bases fix the radices of the row codes.  The
-    columns m * h_w * s_r of one base go to the solver together
-    (SparseSolver.add_shifted), which stores a column that no pivot leads
-    at unbuilt, with the combination {(r, w, m): 1}.  The search stops at
-    the first kernel.
+    The search is a ColumnBuilder with one row per element, so the
+    column (r, w, m) is m * h_w * s_r.  It stops at the first kernel.
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -383,24 +417,12 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
     if len(elements) * box_size(n, hdeg_bound, coeff_deg_bound, BOX_BUDGET) > BOX_BUDGET:
         raise BudgetError(f"the box ({hdeg_bound}, {coeff_deg_bound}) has over {BOX_BUDGET} unknowns")
 
-    words = words_up_to(n, hdeg_bound)
-    monos = monomials_up_to(n, coeff_deg_bound)
-    scale = denominator_lcm(elements)
-    bases = [h_word_products(s * scale, words) for s in elements]
-    columns = ColumnBuilder([u for b in bases for u in b.values()], monos)
-    codes = columns.offsets(monos)
-    solver = SparseSolver()
-    for r, products in enumerate(bases):
-        for w, base in products.items():
-            shifts = [(off, (r, w, m)) for off, m in zip(codes, monos)]
-            for kernel in solver.add_shifted(columns.flatten(base), shifts):
-                witness = [Env.zero() for _ in elements]
-                for (r_, w_, m_), c in kernel.items():
-                    witness[r_] = witness[r_] + Env({w_: Poly({m_: c})})
-                witness = tuple(witness)
-                if not verify_witness(witness, elements):
-                    raise AssertionError("oracle produced an invalid witness")
-                return witness
+    columns = ColumnBuilder([[s] for s in elements], words_up_to(n, hdeg_bound), monomials_up_to(n, coeff_deg_bound))
+    for kernel in columns.kernels(SparseSolver()):
+        witness = tuple(columns.decode(kernel))
+        if not verify_witness(witness, elements):
+            raise AssertionError("oracle produced an invalid witness")
+        return witness
     return None
 
 

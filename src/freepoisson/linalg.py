@@ -3,12 +3,13 @@ integers.
 
 Columns arrive one at a time as dicts row-key -> int or Fraction (`add`),
 or a base at a time as the shifts {row + off: c} of one shared `Base`
-(`add_shifted`); row keys can be any mutually comparable values.  Each
-column is reduced against the current pivots at its largest row key.  A
-column that reduces to zero yields the combination of previously added
-columns that produced it, which is exactly the kernel/solution
-certificate the callers need.  Kernels and solutions do not depend on the
-order of the row keys, but the fill-in does.
+(`add_shifted`), which numbers them by consecutive int column ids; row
+keys can be any mutually comparable values.  Each column is reduced
+against the current pivots at its largest row key.  A column that
+reduces to zero yields the combination of previously added columns that
+produced it, which is exactly the kernel/solution certificate the
+callers need.  Kernels and solutions do not depend on the order of the
+row keys, but the fill-in does.
 
 The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  A
 column with Fraction entries is first multiplied by the lcm of their
@@ -30,13 +31,13 @@ A fresh column is one whose entries are all nonzero ints and whose lead
 row no pivot holds yet.  No step touches it, so the pair that elimination
 would store is the column itself with the combination {col_id: 1}, which
 is primitive.  `add` stores such a dict as it was handed in, and
-`add_shifted` stores it unbuilt, as the pair (base, off), which a
-reduction builds into a dict in place the first time it reads it as a
-pivot.  The bounded searches make almost only fresh columns: m * h_w * s
-leads at lead(h_w * s) + code(m), and two columns rarely share one.  Any
-other column is built (or copied) into a private dict and reduced.  The
-solver never changes a column it was handed, and the caller must not
-change one after handing it in.
+`add_shifted` stores it unbuilt, as ((base, off), col_id), which a
+reduction builds into the dict pair in place the first time it reads it
+as a pivot.  The bounded searches make almost only fresh columns:
+m * h_w * s leads at lead(h_w * s) + code(m), and two columns rarely
+share one.  Any other column is built (or copied) into a private dict and
+reduced.  The solver never changes a column it was handed, and the
+caller must not change one after handing it in.
 """
 
 import math
@@ -71,8 +72,7 @@ class SparseSolver:
 
     def __init__(self):
         # row key -> (primitive int column with that lead, int combo over
-        # column ids); the column is a dict or, until it is first read, a
-        # fresh shifted column as the pair (base, off)
+        # column ids), or ((base, off), col_id) for an unbuilt fresh column
         self.pivots = {}
 
     def _reduce(self, vec, combo):
@@ -91,7 +91,7 @@ class SparseSolver:
             pvec, pcombo = piv
             if type(pvec) is tuple:
                 base, off = pvec
-                pvec = {row + off: c for row, c in base.entries}
+                pvec, pcombo = {row + off: c for row, c in base.entries}, {pcombo: 1}
                 self.pivots[k] = pvec, pcombo
             p, v = pvec[k], vec[k]
             g = math.gcd(p, v)
@@ -140,23 +140,23 @@ class SparseSolver:
         self.pivots[k] = (vec, {col_id: 1})
         return None
 
-    def add_shifted(self, base, shifts):
+    def add_shifted(self, base, offs, first):
         """Register the columns {row + off: c for row, c in base.entries}
-        for the (off, col_id) pairs of `shifts`, in order, as `add` would.
+        for the offsets `offs`, in order, as `add` would, with the column
+        ids first, first + 1, ...
 
         A generator: it yields the kernel of each column that depends on
         those before it, as it arises, and registers the next column only
         when asked for more.  A fresh column (an integral base, and no
-        pivot at its lead base.top + off) is stored as (base, off) with
-        the combination {col_id: 1}, unbuilt and without a call.
+        pivot at its lead base.top + off) is stored unbuilt.
         """
         pivots = self.pivots
         top = base.top if base.integral else None
-        for off, col_id in shifts:
+        for col_id, off in enumerate(offs, first):
             if top is not None:
                 k = top + off
                 if k not in pivots:
-                    pivots[k] = (base, off), {col_id: 1}
+                    pivots[k] = (base, off), col_id
                     continue
             vec = {row + off: c for row, c in base.entries}
             kernel = self._insert(col_id, vec, 1) if top is not None else self._insert(col_id, *_integral(vec))

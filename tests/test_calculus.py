@@ -290,10 +290,10 @@ def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
             self.fed, self.kernels, self.held_at_kernel = [], [], []
             made.append(self)
 
-        def add_shifted(self, base, shifts):
-            self.fed.append((base, shifts))
-            for kernel in super().add_shifted(base, shifts):
-                self.kernels.append((kernel, shifts))
+        def add_shifted(self, base, offs, first):
+            self.fed.append((base, offs, first))
+            for kernel in super().add_shifted(base, offs, first):
+                self.kernels.append((kernel, first + len(offs) - 1))
                 self.held_at_kernel.append(len(self.pivots))
                 yield kernel
 
@@ -301,8 +301,8 @@ def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
     assert calculus._search_box(J, 1, 2, 2) is None
     (solver,) = made
     reference, kernels = SparseSolver(), []
-    for base, shifts in solver.fed:
-        for off, cid in shifts:
+    for base, offs, first in solver.fed:
+        for cid, off in enumerate(offs, first):
             kernel = reference.add(cid, {r + off: c for r, c in base.entries})
             if kernel is not None:
                 kernels.append(kernel)
@@ -310,14 +310,61 @@ def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
     assert list(solver.pivots) == list(reference.pivots)
     for k, (vec, combo) in solver.pivots.items():
         if type(vec) is tuple:
-            vec = {r + vec[1]: c for r, c in vec[0].entries}
+            vec, combo = {r + vec[1]: c for r, c in vec[0].entries}, {combo: 1}
         assert (vec, combo) == reference.pivots[k]
-    # a kernel arose before the last column of its base, and columns added
-    # after the first kernel became pivots
-    order = [cid for _, shifts in solver.fed for _, cid in shifts]
-    newest = [max(kernel, key=order.index) for kernel, _ in solver.kernels]
-    assert any(cid != shifts[-1][1] for cid, (_, shifts) in zip(newest, solver.kernels))
+    # the ids run on from base to base, a kernel arose before the last
+    # column of its base, and columns added after the first kernel became
+    # pivots
+    assert [first for _, _, first in solver.fed] == [b * len(offs) for b, (_, offs, _) in enumerate(solver.fed)]
+    assert any(max(kernel) != last for kernel, last in solver.kernels)
     assert len(solver.pivots) > solver.held_at_kernel[0]
+
+
+def tuple_id_left_search(J, hb, cb, n_vars):
+    """_search_box with its columns m * (h_w * J[b][k]), made by env_mul,
+    unscaled and at the tuple rows (k, word, mono), fed one at a time to
+    add with the ids (b, w, m): the reference for the int column ids."""
+    n = J.n
+    words, monos = depend.words_up_to(n_vars, hb), depend.monomials_up_to(n_vars, cb)
+    solver = SparseSolver()
+    for b in range(n):
+        for w in words:
+            products = [env_mul(Env({w: Poly.one()}), u) for u in J.entries[b]]
+            for m in monos:
+                col = {}
+                for k, u in enumerate(products):
+                    for word, p in u.terms.items():
+                        col.update(((k, word, mono), c) for mono, c in (Poly({m: 1}) * p).terms.items())
+                solver.add((b, w, m), col)
+    entries = []
+    for a in range(n):
+        combo = solver.solve({(a, (), ()): 1})
+        if combo is None:
+            return None
+        row = [Env.zero() for _ in range(n)]
+        for (b, w, m), c in combo.items():
+            row[b] = row[b] + Env({w: Poly({m: c})})
+        entries.append(row)
+    return EnvMatrix(entries)
+
+
+def test_search_box_column_ids_decode_to_the_tuple_id_inverse():
+    rng = random.Random(59)
+    pairs = [elementary_pair(rng) for _ in range(8)]
+    row = [Env.one() + H1, Env.from_poly(X2)]
+    cases = pairs + [mat_mul(a, b) for a, b in zip(pairs[::2], pairs[1::2])]
+    cases += [EnvMatrix([row, [Env.from_poly(X1) * u for u in row]]), jacobian(Endomorphism(2, [X1 * X1, X2]))]
+    cases += [EnvMatrix([[rand_env(rng, 2, 1, 1) for _ in range(n)] for _ in range(n)]) for n in (1, 2) * 3]
+    solved = last = 0
+    words, monos = depend.words_up_to(2, 1), depend.monomials_up_to(2, 1)
+    for J in cases:
+        want = tuple_id_left_search(J, 1, 1, 2)
+        assert calculus._search_box(J, 1, 1, 2) == want
+        if want is not None:
+            solved += 1
+            # the last column of the last base, (n - 1, words[-1], monos[-1])
+            last += any(monos[-1] in r[-1].terms.get(words[-1], Poly.zero()).terms for r in want.entries)
+    assert solved >= 8 and last >= 1
 
 
 def one_step_shrink(n, n_vars, hb, cb, budget):

@@ -20,9 +20,10 @@ from freepoisson.depend import (
     words_up_to,
 )
 from freepoisson.env import Env, env_mul, hdeg, ldm
+from freepoisson.linalg import Base, SparseSolver
 from freepoisson.freelie import Lie, lyndon_words
 from freepoisson.poisson import Poly, mono_deg
-from freepoisson.sampling import rand_env, rand_env_nonzero, rand_poly_nonzero
+from freepoisson.sampling import rand_env, rand_env_nonzero, rand_poly_nonzero, rand_scalar
 
 X1 = Poly.generator(1)
 X2 = Poly.generator(2)
@@ -204,7 +205,7 @@ def test_h_word_products_match_products_by_generators():
 
 
 def shifted(base, off):
-    """The column {row + off: c} of a flattened base."""
+    """The column {row + off: c} of a linalg.Base."""
     return {row + off: c for row, c in base.entries}
 
 
@@ -224,55 +225,49 @@ def test_column_builder_matches_products():
     monos = monomials_up_to(n, cb)
     words = words_up_to(n, hb)
     elements = [rand_env_nonzero(rng, n, 3, 3, terms=rng.randint(1, 4)) for _ in range(40)]
-    # the rows of brute_force_dependence, and those of _search_box with the
-    # prefix k < 2, the column of V*J
-    search_box = [((k,), k) for k in (0, 1)]
-    # every base is drawn first, since the bases fix the builder's radices:
-    # (prefix, code, u, monomials to shift by), u = h_w * s
-    groups = []
-    for prefixes in ([((), 0)], search_box):
-        draws = []
-        for s in elements:
-            for prefix, code in prefixes:
-                u = env_mul(Env({rng.choice(words): Poly.one()}), s)
-                draws.append((prefix, code, u, rng.sample(monos, 6)))
-        groups.append(draws)
-    bases = [u for draws in groups for _, _, u, _ in draws]
-    builder = ColumnBuilder(bases, monos, len(search_box))
-    # the order the int rows keep: (prefix, graded_lex_key(word), deg, exponent
-    # vector over the interned basis words, most significant last); the words
-    # are those of the monomials and the bases, in graded-lex order
-    base_monos = [m for u in bases for p in u.terms.values() for m in p.terms]
-    interned = sorted({bw for m in [*monos, *base_monos] for bw, _ in m}, key=graded_lex_key)
+    # the rows of brute_force_dependence, one element each, and those of
+    # _search_box, two elements each at the prefixes k < 2
+    for rows, picks in (([[s] for s in elements], 1), ([elements[i : i + 2] for i in range(0, 40, 2)], 2)):
+        builder = ColumnBuilder(rows, words, monos)
+        scale = denominator_lcm(elements)
+        assert builder.scale == scale > 1
+        keys = {}
+        for i, row in enumerate(builder.bases):
+            for w in rng.sample(range(len(words)), picks):
+                for k, s in enumerate(rows[i]):
+                    # the base h_w * (D * s), through products by generators
+                    u = env_mul(Env({words[w]: Poly.one()}), scale * s)
+                    flat = Base(builder.flatten(row[k][words[w]], k))
+                    for m in rng.sample(monos, 6):
+                        want = tuple_rows(u, m, (k,))
+                        (off,) = builder.offsets([m])
+                        built = shifted(flat, off)
+                        assert built == {builder.key(k, word, mono): c for (_, word, mono), c in want.items()}
+                        assert all(type(c) is int for c in built.values())
+                        assert len(flat.entries) == len(built) and flat.top + off == max(built)
+                        keys.update((key, builder.key(k, key[1], key[2])) for key in want)
+        # the order the int rows keep: (prefix, graded_lex_key(word), deg,
+        # exponent vector over the basis words in graded-lex order, most
+        # significant last); words that no row uses change no comparison
+        basis = sorted({bw for _, _, mono in keys for bw, _ in mono}, key=graded_lex_key)
 
-    def order(prefix, word, mono):
-        e = dict(mono)
-        return prefix + (graded_lex_key(word), mono_deg(mono), [e.get(bw, 0) for bw in reversed(interned)])
+        def order(prefix, word, mono):
+            e = dict(mono)
+            return prefix + (graded_lex_key(word), mono_deg(mono), [e.get(bw, 0) for bw in reversed(basis)])
 
-    for draws in groups:
-        rows = {}
-        for prefix, code, u, shifts in draws:
-            flat = builder.flatten(u, code)
-            for m in shifts:
-                want = tuple_rows(u, m, prefix)
-                keys = {k: builder.key(code, k[1], k[2]) for k in want}
-                (off,) = builder.offsets([m])
-                built = shifted(flat, off)
-                assert built == {keys[k]: c for k, c in want.items()}
-                assert len(flat.entries) == len(built) and flat.top + off == max(built)
-                rows.update(keys)
         # the int rows sort exactly in that order, and no two coincide
-        assert len(set(rows.values())) == len(rows) > 1500
-        assert [rows[k] for k in sorted(rows, key=lambda k: order(*k))] == sorted(rows.values())
+        assert len(set(keys.values())) == len(keys) > 1500
+        assert [keys[k] for k in sorted(keys, key=lambda k: order(*k))] == sorted(keys.values())
 
 
 def test_column_builder_rejects_codes_outside_its_radices():
     # one letter; shifts by monomials of degree <= 2 of bases of degree <= 1,
     # so monomial degrees up to 3; h-words of length <= 2; two prefixes
-    builder = ColumnBuilder([Env({(1,): X1}), Env({(1, 1): Poly.one()})], monomials_up_to(1, 2), 2)
+    builder = ColumnBuilder([[Env({(1,): X1}), Env({(1, 1): Poly.one()})]], [()], monomials_up_to(1, 2))
     assert builder.key(1, (1, 1), (((1,), 3),)) > builder.key(1, (1,), (((1,), 3),))
-    flat = builder.flatten(Env({(1,): X1}), 1)
+    flat = Base(builder.flatten(builder.bases[0][0][()], 1))
     assert shifted(flat, *builder.offsets([(((1,), 2),)])) == {builder.key(1, (1,), (((1,), 3),)): 1}
+    (x1,) = builder.bases[0][0][()][(1,)]  # the id of the monomial x1
     unknown_word = (((1, 2), 1),)  # [x1, x2] was never interned
     unknown_letter = (((2,), 1),)
     outside = [
@@ -284,11 +279,9 @@ def test_column_builder_rejects_codes_outside_its_radices():
         lambda: builder.key(0, (1, 1, 1), ()),
         lambda: builder.key(0, (2,), ()),
         lambda: builder.key(0, (0,), ()),
-        lambda: builder.flatten(Env({(): Poly({unknown_word: 1})})),
-        lambda: builder.flatten(Env({(): X1 * X1})),  # degree 2 + 2 > 3
-        lambda: builder.flatten(Env({(2,): X1})),
-        lambda: builder.flatten(Env({(1, 1, 1): X1})),
-        lambda: builder.flatten(Env({(): X1}), 2),
+        lambda: builder.flatten({(2,): {x1: 1}}),
+        lambda: builder.flatten({(1, 1, 1): {x1: 1}}),
+        lambda: builder.flatten({(): {x1: 1}}, 2),
         lambda: builder.offsets([(((1,), 3),)]),
         lambda: builder.offsets([(((1,), 1),), unknown_word]),
     ]
@@ -304,6 +297,67 @@ def test_oracle_with_n_below_the_largest_letter():
     assert got == brute_force_dependence(system, 1, 1)
     assert got == (Env.from_poly(-X1), Env.one(), Env.zero())
     assert verify_witness(got, system)
+
+
+def tuple_id_oracle(elements, hb, cb, n):
+    """The oracle's columns m * h_w * s_r, made by env_mul, unscaled and at
+    tuple rows, fed one at a time to add with the ids (r, w, m): the
+    reference for the int column ids.  Returns the witness of the first
+    kernel and the id of its column, or (None, None)."""
+    words, monos = words_up_to(n, hb), monomials_up_to(n, cb)
+    solver = SparseSolver()
+    for r, s in enumerate(elements):
+        for w in words:
+            u = env_mul(Env({w: Poly.one()}), s)
+            for m in monos:
+                kernel = solver.add((r, w, m), tuple_rows(u, m))
+                if kernel is not None:
+                    witness = [Env.zero() for _ in elements]
+                    for (r_, w_, m_), c in kernel.items():
+                        witness[r_] = witness[r_] + Env({w_: Poly({m_: c})})
+                    return tuple(witness), (r, w, m)
+    return None, None
+
+
+def test_oracle_column_ids_decode_to_the_tuple_id_witness():
+    rng = random.Random(47)
+    cases = []
+    for _ in range(6):
+        # s and t * s with t in the box: a kernel at (1, (), ()), inside its base
+        s, t = rand_env_nonzero(rng, 2, 1, 1), rand_env_nonzero(rng, 2, 1, 1)
+        cases.append(([s, env_mul(t, s)], 1, 1, 2))
+        cases.append(([rand_env_nonzero(rng, 2, 1, 1, terms=rng.randint(1, 3)) for _ in range(rng.randint(2, 3))], 1, 1, 2))
+        # c1 * x1^d and c2 at (0, d): a kernel on the last column of the last base
+        d = rng.randint(1, 3)
+        cases.append(([Env.from_poly(rand_scalar(rng) * X1**d), Env.from_poly(Poly.constant(rand_scalar(rng)))], 0, d, 1))
+    inside = last = 0
+    for elements, hb, cb, n in cases:
+        want, at = tuple_id_oracle(elements, hb, cb, n)
+        assert brute_force_dependence(elements, hb, cb, n=n) == want
+        if at is not None:
+            words, monos = words_up_to(n, hb), monomials_up_to(n, cb)
+            inside += at[2] != monos[-1]
+            last += at == (len(elements) - 1, words[-1], monos[-1])
+    assert inside >= 6 and last >= 6
+
+
+def test_decision_agrees_with_the_oracle_on_seeded_systems():
+    # an oracle witness in the box (1, 2) means the verdict "dependent", so
+    # an "independent" verdict means that the oracle finds no witness
+    rng = random.Random(53)
+    found = independent = 0
+    for _ in range(30):
+        system = [rand_env_nonzero(rng, 2, rng.randint(0, 2), 2, terms=rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+        verdict = decide_left_dependence(system)
+        witness = brute_force_dependence(system, 1, 2, n=2)
+        if witness is not None:
+            assert verify_witness(witness, system)
+            assert verdict.status == "dependent"
+        if verdict.status == "independent":
+            assert witness is None
+        found += witness is not None
+        independent += verdict.status == "independent"
+    assert found > 0 and independent > 0
 
 
 def test_oracle_witness_is_invariant_under_rational_scaling():

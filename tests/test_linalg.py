@@ -160,15 +160,16 @@ def build(base, off):
 
 
 def built(solver):
-    """The pivots of a solver with every column built into a dict."""
-    return {k: (build(*vec) if type(vec) is tuple else vec, combo) for k, (vec, combo) in solver.pivots.items()}
+    """The pivots of a solver with every column built into a dict, and every
+    unbuilt ((base, off), col_id) into its pair with the combination {col_id: 1}."""
+    return {k: (build(*vec), {combo: 1}) if type(vec) is tuple else (vec, combo) for k, (vec, combo) in solver.pivots.items()}
 
 
 def add_one_at_a_time(runs):
     """A solver fed the built columns of `runs` with `add`, and its kernels in order."""
     solver, kernels = SparseSolver(), []
-    for base, shifts in runs:
-        for off, cid in shifts:
+    for base, offs, first in runs:
+        for cid, off in enumerate(offs, first):
             kernel = solver.add(cid, build(base, off))
             if kernel is not None:
                 kernels.append(kernel)
@@ -177,7 +178,7 @@ def add_one_at_a_time(runs):
 
 def shifted_system(rng):
     """Seeded runs of columns over a few shared bases: a list of
-    (base, [(off, col_id), ...]) with col ids 0, 1, ... in order.  Rows
+    (base, offsets, first column id) with col ids 0, 1, ... in order.  Rows
     are 0..11, so that kernels and shared leads occur, and an offset may
     repeat within a run, so that a kernel can arise in the middle of one."""
     bases = []
@@ -190,7 +191,7 @@ def shifted_system(rng):
     for _ in range(rng.randint(2, 6)):
         base = rng.choice(bases[:-1]) if rng.random() < 0.9 else bases[-1]
         count = rng.randint(1, 4)
-        runs.append((base, [(rng.randint(0, 4), c) for c in range(cid, cid + count)]))
+        runs.append((base, [rng.randint(0, 4) for _ in range(count)], cid))
         cid += count
     return bases, runs
 
@@ -203,9 +204,9 @@ def test_shifted_columns_match_dict_columns():
     built_on_use = kept_unbuilt = dependent = fraction_bases = empty_bases = held = mid_run = 0
     for _ in range(200):
         bases, runs = shifted_system(rng)
-        fraction_bases += sum(not b.integral for b, _ in runs)
-        empty_bases += sum(not b.entries for b, _ in runs)
-        dicts = [build(base, off) for base, shifts in runs for off, _ in shifts]
+        fraction_bases += sum(not b.integral for b, _, _ in runs)
+        empty_bases += sum(not b.entries for b, _, _ in runs)
+        dicts = [build(base, off) for base, offs, _ in runs for off in offs]
         entries = [list(b.entries) for b in bases]
         given = [dict(d) for d in dicts]
         rhs_in = combine(dict(enumerate(dicts)), {c: rng.randint(-2, 2) for c in range(len(dicts))})
@@ -213,17 +214,18 @@ def test_shifted_columns_match_dict_columns():
         rhs_given = [dict(rhs_in), dict(rhs_out)]
         reference, want = add_one_at_a_time(runs)
         solver, kernels = SparseSolver(), []
-        for base, shifts in runs:
+        for base, offs, first in runs:
             unbuilt = {k: piv for k, piv in solver.pivots.items() if type(piv[0]) is tuple}
-            held += sum(base.top is not None and base.top + off in solver.pivots for off, _ in shifts)
-            for kernel in solver.add_shifted(base, shifts):
+            held += sum(base.top is not None and base.top + off in solver.pivots for off in offs)
+            for kernel in solver.add_shifted(base, offs, first):
                 kernels.append(kernel)
-                mid_run += max(kernel) != shifts[-1][1]
-            for k, (pair, combo) in unbuilt.items():
+                mid_run += max(kernel) != first + len(offs) - 1
+            for k, (pair, cid) in unbuilt.items():
                 if type(solver.pivots[k][0]) is dict:
                     # a pivot stored unbuilt was read by a reduction: it is
-                    # built in place, to the dict elimination would hold
-                    assert solver.pivots[k] == (build(*pair), combo)
+                    # built in place, to the dict pair elimination would
+                    # hold, with the combination {col_id: 1}
+                    assert solver.pivots[k] == (build(*pair), {cid: 1})
                     built_on_use += 1
         assert kernels == want
         assert list(solver.pivots) == list(reference.pivots)
@@ -245,36 +247,38 @@ def test_shifted_columns_match_dict_columns():
 
 def test_add_shifted_registers_a_column_only_when_asked():
     solver = SparseSolver()
-    columns = solver.add_shifted(Base([(0, 1), (1, 2)]), [(0, "a"), (0, "b"), (3, "c")])
+    columns = solver.add_shifted(Base([(0, 1), (1, 2)]), [0, 0, 3], 5)
     assert solver.pivots == {}
-    assert next(columns) == {"a": -1, "b": 1}
+    assert next(columns) == {5: -1, 6: 1}
     assert list(solver.pivots) == [1]
     assert list(columns) == [] and list(solver.pivots) == [1, 4]
+    assert solver.pivots[4][1] == 7
 
 
 def test_zero_shifted_column_gives_the_unit_kernel():
-    for add in (lambda s: s.add("z", {}), lambda s: next(s.add_shifted(Base([]), [(7, "z")]))):
+    for add in (lambda s: s.add(1, {}), lambda s: next(s.add_shifted(Base([]), [7], 1))):
         solver = SparseSolver()
-        assert solver.add("a", {3: 2}) is None
-        assert add(solver) == {"z": 1}
+        assert solver.add(0, {3: 2}) is None
+        assert add(solver) == {1: 1}
         assert list(solver.pivots) == [3]
 
 
 def test_stored_pivot_nonzeros_match_the_built_pair():
     # the nonzeros of a stored pivot, read from solver.pivots (the entries
-    # of the base for a pair (base, off)), are those of the built pair
+    # of the base and the one column id for ((base, off), col_id)), are
+    # those of the built pair
     rng = random.Random(8)
     unbuilt = 0
     for _ in range(100):
         _, runs = shifted_system(rng)
         solver = SparseSolver()
-        for base, shifts in runs:
-            for _ in solver.add_shifted(base, shifts):
+        for base, offs, first in runs:
+            for _ in solver.add_shifted(base, offs, first):
                 pass
         for k, (vec, combo) in built(solver).items():
-            pvec = solver.pivots[k][0]
-            stored = len(pvec[0].entries) if type(pvec) is tuple else len(pvec)
-            assert stored + len(combo) == sum(1 for c in [*vec.values(), *combo.values()] if c)
+            pvec, pcombo = solver.pivots[k]
+            stored = len(pvec[0].entries) + 1 if type(pvec) is tuple else len(pvec) + len(pcombo)
+            assert stored == sum(1 for c in [*vec.values(), *combo.values()] if c)
             unbuilt += type(pvec) is tuple
         # add stores dicts only, so the newest pivot after add counts its own entries
         reference, _ = add_one_at_a_time(runs)

@@ -13,7 +13,10 @@ order, and for each seed the workloads in the order given.  Within a pair
 the parent runs first on odd seeds and the change first on even seeds, as
 bench/README.md asks.
 
-Prints one JSON object: for every workload its seeds, each side's median
+Prints one JSON object: the parent commit; the change (HEAD, and whether
+the working tree differs from it); the machine (platform, CPU count and
+the version of the Python that runs this script); the protocol; and for
+every workload its seeds, each side's median
 of every end-to-end metric, the distance between the first and third
 quartile over the median, the pairs in which the change is better (ties
 count for neither side), the metrics left unresolved because the spread of
@@ -24,6 +27,7 @@ raw runs.  Nothing in the repository is written.
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -114,6 +118,8 @@ def main(argv):
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], check=True, capture_output=True, text=True)
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], check=True, capture_output=True, text=True)
+    dirty = subprocess.run(["git", "status", "--porcelain"], check=True, capture_output=True, text=True)
 
     seeds, results = {}, {}
     with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
@@ -132,6 +138,12 @@ def main(argv):
 
     out = {
         "parent_commit": parent.stdout.strip(),
+        "change": {"head": head.stdout.strip(), "dirty": bool(dirty.stdout.strip())},
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(), "python": platform.python_version()},
+        "protocol": (
+            f"one run of {seconds:g} s per side and seed, parent and change unpacked into their own directories; "
+            "the parent runs first on odd seeds and the change first on even seeds"
+        ),
         "command": " ".join(bench["command"]) + f" --workload W --seed N --seconds {seconds:g} --trace 0",
         "workloads": {w: summarize(seeds[w], results[w], metrics) for w in seeds},
     }
