@@ -9,24 +9,24 @@ enveloping algebra.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import depend, poisson
+from .core import Record
 from .env import Env, env_mul, ham, split
 from .linalg import SparseSolver
 from .poisson import Poly
 
 
-@dataclass
-class Endomorphism:
-    n: int
-    images: list  # images of x_1..x_n, as Poly
+class Endomorphism(Record):
+    __slots__ = ("n", "images")  # images of x_1..x_n, as Poly
 
-    def __post_init__(self):
-        if len(self.images) != self.n:
+    def __init__(self, n, images):
+        if len(images) != n:
             raise ValueError("image count must equal the variable count")
+        self.n = n
+        self.images = images
 
     def __call__(self, p):
         return poisson.evaluate(p, self.images)
@@ -45,16 +45,15 @@ def compose(outer, inner):
     return Endomorphism(outer.n, [outer(img) for img in inner.images])
 
 
-@dataclass
-class EnvMatrix:
-    entries: list  # n x n nested lists of Env
+class EnvMatrix(Record):
+    __slots__ = ("entries",)  # n x n nested lists of Env
+
+    def __init__(self, entries):
+        self.entries = entries
 
     @property
     def n(self):
         return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, EnvMatrix) and self.entries == other.entries
 
 
 def identity_matrix(n):
@@ -111,8 +110,7 @@ def env_apply(psi, u):
     return out
 
 
-@dataclass
-class InversionResult:
+class InversionResult(NamedTuple):
     status: str  # "invertible" | "unknown"
     V: Optional[EnvMatrix]
     exhausted: bool  # whether the full requested box was searched
@@ -280,8 +278,7 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BU
     return InversionResult("invertible", V, exhausted)
 
 
-@dataclass
-class PairStatus:
+class PairStatus(NamedTuple):
     status: str  # "free" | "dependent"
     lam: Optional[Poly]
     mu: Optional[Poly]

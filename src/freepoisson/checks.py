@@ -9,8 +9,8 @@ import contextlib
 import io
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import calculus, depend, sampling, syntax
 from .core import graded_lex_key, mi_factorial, mi_norm, mi_swap
@@ -43,8 +43,7 @@ from .symplectic import (
 from .syntax import DomainError
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

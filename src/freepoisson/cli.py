@@ -7,17 +7,15 @@ exhausted).
 
 import argparse
 import itertools
-import json
 import sys
 
-from . import calculus, syntax
-from .depend import StepBudgetExceeded, brute_force_dependence, decide_left_dependence
-from .env import ham
-from .symplectic import moyal, symmetrize, theta_left, theta_right, weyl_mul
+from . import calculus, depend, env, symplectic, syntax
 from .syntax import BudgetError, DomainError, ParseError, parse_element
 
 
 def _dumps(obj):
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -41,7 +39,7 @@ def _cmd_mul(args):
 
 def _cmd_ham(args):
     p = parse_element(args.expr, args.n, "poisson")
-    return _emit(args, ham(p))
+    return _emit(args, env.ham(p))
 
 
 def _cmd_fox(args):
@@ -90,7 +88,7 @@ def _cmd_depend(args):
     elems = [parse_element(s, args.n, "env") for s in args.elements]
     if args.oracle:
         _check_bounds(args)
-        witness = brute_force_dependence(
+        witness = depend.brute_force_dependence(
             elems, args.hdeg_bound, args.coeff_bound, n=args.n
         )
         if witness is None:
@@ -103,7 +101,7 @@ def _cmd_depend(args):
             obj = {"status": "dependent", "witness": [syntax.render(w) for w in witness]}
         print(_dumps(obj))
         return 0
-    verdict = decide_left_dependence(elems, max_steps=args.max_steps)
+    verdict = depend.decide_left_dependence(elems, max_steps=args.max_steps)
     if verdict.status == "dependent":
         obj = {
             "status": "dependent",
@@ -135,28 +133,28 @@ def _cmd_pair_status(args):
 def _cmd_moyal(args):
     f = parse_element(args.f, args.n, "symplectic")
     g = parse_element(args.g, args.n, "symplectic")
-    return _emit(args, moyal(f, g))
+    return _emit(args, symplectic.moyal(f, g))
 
 
 def _cmd_symmetrize(args):
     f = parse_element(args.f, args.n, "symplectic")
-    return _emit(args, symmetrize(f))
+    return _emit(args, symplectic.symmetrize(f))
 
 
 def _cmd_theta_left(args):
     a = parse_element(args.a, args.n, "weyl")
-    return _emit(args, theta_left(a))
+    return _emit(args, symplectic.theta_left(a))
 
 
 def _cmd_theta_right(args):
     a = parse_element(args.a, args.n, "weyl")
-    return _emit(args, theta_right(a))
+    return _emit(args, symplectic.theta_right(a))
 
 
 def _cmd_weyl_mul(args):
     a = parse_element(args.lhs, args.n, "weyl")
     b = parse_element(args.rhs, args.n, "weyl")
-    return _emit(args, weyl_mul(a, b))
+    return _emit(args, symplectic.weyl_mul(a, b))
 
 
 def _cmd_check(args):
@@ -317,7 +315,7 @@ def run(argv):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (StepBudgetExceeded, BudgetError) as exc:
+    except BudgetError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
 

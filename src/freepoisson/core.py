@@ -57,6 +57,24 @@ class BudgetError(Exception):
     """The input asks for more work than a budget allows."""
 
 
+class Record:
+    """Base of the small mutable records: a subclass names its fields in
+    `__slots__` and sets them in `__init__`.  Repr and equality are those
+    of a dataclass (same class, equal fields); a record is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
 def accumulate(out, items, scale=None):
     """Add (key, coefficient) pairs into the dict `out` in place; returns it.
 

@@ -11,24 +11,21 @@ pairwise incomparable under right division.
 """
 
 import itertools
-import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 from . import freelie, poisson
-from .core import BudgetError, accumulate, graded_lex_key
+from .core import BudgetError, Record, accumulate, graded_lex_key
 from .env import Env, env_mul, ldc, ldm, word_right_divides
 from .linalg import Base, SparseSolver
 from .poisson import Poly
 
 
-class StepBudgetExceeded(Exception):
+class StepBudgetExceeded(BudgetError):
     """The reduction loop hit its step budget before reaching a verdict."""
 
 
-@dataclass
-class ReductionRecord:
+class ReductionRecord(NamedTuple):
     i: int
     j: int
     word: tuple
@@ -36,12 +33,17 @@ class ReductionRecord:
     mult_j: Poly
 
 
-@dataclass
-class DependencyVerdict:
-    status: str  # "dependent" | "independent"
-    witness: Optional[tuple]
-    trace: list
-    final_words: Optional[tuple] = None
+class DependencyVerdict(Record):
+    """status is "dependent" (with a witness tuple) or "independent" (with
+    the final leading words); trace lists the ReductionRecords."""
+
+    __slots__ = ("status", "witness", "trace", "final_words")
+
+    def __init__(self, status, witness, trace, final_words=None):
+        self.status = status
+        self.witness = witness
+        self.trace = trace
+        self.final_words = final_words
 
 
 def lambda_shift(lam, u):
@@ -428,6 +430,7 @@ def brute_force_dependence(elements, hdeg_bound, coeff_deg_bound, n=None):
 
 def load_corpus():
     """Parsed dependence corpus: list of (n, elements, expected-status)."""
+    import json
     from importlib.resources import files
 
     from . import syntax

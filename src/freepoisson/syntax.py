@@ -23,11 +23,9 @@ value satisfies parse(render(v)) = v in its own mode.
 import functools
 from fractions import Fraction
 
-from . import freelie, poisson
+from . import env, freelie, poisson, symplectic
 from .core import BudgetError, graded_lex_key, mi_norm
-from .env import Env, ham
 from .poisson import Poly
-from .symplectic import PnEnv, SPoly, Weyl, sp_bracket
 
 
 MAX_DEPTH = 100
@@ -234,38 +232,38 @@ class _Parser:
             if mode == "poisson":
                 return poisson.p_bracket(a, b)
             if mode == "symplectic":
-                return sp_bracket(a, b)
+                return symplectic.sp_bracket(a, b)
             if mode == "env":
                 pa, ra = a.split()
                 pb, rb = b.split()
                 if not ra.is_zero() or not rb.is_zero():
                     raise DomainError("bracket arguments must be polynomial")
-                return Env.from_poly(poisson.p_bracket(pa, pb))
+                return env.Env.from_poly(poisson.p_bracket(pa, pb))
             raise AssertionError(f"bracket in {mode} mode")
         if op == "h":
             inner = self.evaluate(node[1])
             p, rest = inner.split()
             if not rest.is_zero():
                 raise DomainError("h argument must be polynomial")
-            return ham(p)
+            return env.ham(p)
 
     def _const(self, c):
         if self.mode == "poisson":
             return Poly.constant(c)
         if self.mode == "env":
-            return Env.from_poly(Poly.constant(c))
+            return env.Env.from_poly(Poly.constant(c))
         if self.mode == "symplectic":
-            return SPoly.constant(self.n, c)
-        return Weyl(self.n, {((0,) * self.n, (0,) * self.n): c})
+            return symplectic.SPoly.constant(self.n, c)
+        return symplectic.Weyl(self.n, {((0,) * self.n, (0,) * self.n): c})
 
     def _var(self, letter, idx):
         if self.mode == "poisson":
             return Poly.generator(idx)
         if self.mode == "env":
-            return Env.from_poly(Poly.generator(idx))
+            return env.Env.from_poly(Poly.generator(idx))
         if self.mode == "symplectic":
-            return SPoly.x(self.n, idx) if letter == "x" else SPoly.y(self.n, idx)
-        return Weyl.X(self.n, idx) if letter == "x" else Weyl.Y(self.n, idx)
+            return symplectic.SPoly.x(self.n, idx) if letter == "x" else symplectic.SPoly.y(self.n, idx)
+        return symplectic.Weyl.X(self.n, idx) if letter == "x" else symplectic.Weyl.Y(self.n, idx)
 
 
 def parse(src, n, mode):
@@ -401,17 +399,7 @@ def render_pnenv(u):
 
 
 def render(value):
-    if isinstance(value, Poly):
-        return render_poisson(value)
-    if isinstance(value, Env):
-        return render_env(value)
-    if isinstance(value, SPoly):
-        return render_spoly(value)
-    if isinstance(value, Weyl):
-        return render_weyl(value)
-    if isinstance(value, PnEnv):
-        return render_pnenv(value)
-    raise TypeError(f"cannot render {value!r}")
+    return _forms(value, "render")[0](value)
 
 
 # --- structured (JSON) forms -------------------------------------------
@@ -481,14 +469,23 @@ def json_pnenv(u):
 
 
 def to_json(value):
-    if isinstance(value, Poly):
-        return json_poisson(value)
-    if isinstance(value, Env):
-        return json_env(value)
-    if isinstance(value, SPoly):
-        return json_spoly(value)
-    if isinstance(value, Weyl):
-        return json_weyl(value)
-    if isinstance(value, PnEnv):
-        return json_pnenv(value)
-    raise TypeError(f"cannot encode {value!r}")
+    return _forms(value, "encode")[1](value)
+
+
+# (render, to_json) by the qualified name of the value's type: picking them
+# needs no class object, so it executes no module the value is not from
+_FORMS = {
+    f"{__package__}.poisson.Poly": (render_poisson, json_poisson),
+    f"{__package__}.env.Env": (render_env, json_env),
+    f"{__package__}.symplectic.SPoly": (render_spoly, json_spoly),
+    f"{__package__}.symplectic.Weyl": (render_weyl, json_weyl),
+    f"{__package__}.symplectic.PnEnv": (render_pnenv, json_pnenv),
+}
+
+
+def _forms(value, verb):
+    cls = type(value)
+    forms = _FORMS.get(f"{cls.__module__}.{cls.__qualname__}")
+    if forms is None:
+        raise TypeError(f"cannot {verb} {value!r}")
+    return forms

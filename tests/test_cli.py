@@ -14,11 +14,36 @@ import freepoisson
 from freepoisson.cli import _build_parser, run
 
 
+SRC = os.path.dirname(os.path.dirname(freepoisson.__file__))
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def fresh(*args, **kwargs):
+    """Run `python ARGS` in a new process that imports freepoisson from SRC."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
 def cap(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.jsonl")
+
+
+def golden_cases(first_per_command=False):
+    """The recorded calls of the golden transcript, or the first of each subcommand."""
+    with open(GOLDEN) as fh:
+        cases = [json.loads(line) for line in fh if line.strip()]
+    if not first_per_command:
+        return cases
+    firsts = {}
+    for case in cases:
+        firsts.setdefault(case["argv"][0], case)
+    return list(firsts.values())
 
 
 def test_bracket():
@@ -199,9 +224,62 @@ def test_commands_do_not_import_sympy():
         "pair-status -n 2 x1+x2 x1^2+2*x1*x2+x2^2",
         "symmetrize -n 2 x1^2*y1*y2",
     ]
-    src = os.path.dirname(os.path.dirname(freepoisson.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", script, *argvs], capture_output=True, text=True, env=env)
+    proc = fresh("-c", script, *argvs)
+    assert proc.returncode == 0, proc.stderr
+
+
+# What a subcommand must leave unexecuted: the submodules are registered
+# lazily, so a module counts as executed only once its type is no longer
+# the lazy one.  `vars()` or any attribute read would execute it.
+UNUSED_BY = {
+    "bracket": {"env", "linalg", "depend", "calculus", "symplectic"},
+    "moyal": {"env", "linalg", "depend", "calculus"},
+    "symmetrize": {"env", "linalg", "depend", "calculus"},
+    "weyl-mul": {"env", "linalg", "depend", "calculus"},
+    "depend": {"calculus", "symplectic"},
+}
+
+
+@pytest.mark.parametrize("argv", [c["argv"] for c in golden_cases(first_per_command=True)], ids=lambda a: a[0])
+def test_commands_execute_only_the_modules_they_use(argv):
+    script = (
+        "import sys, types\n"
+        "from freepoisson.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(' '.join(name for name, mod in sys.modules.items() if type(mod) is types.ModuleType))\n"
+        "sys.exit(code)\n"
+    )
+    proc = fresh("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+    executed = set(proc.stdout.splitlines()[-1].split())
+    assert "freepoisson.syntax" in executed
+    unused = {"freepoisson." + m for m in UNUSED_BY.get(argv[0], ())}
+    if argv[0] != "check":
+        unused |= {"dataclasses", "inspect"}
+    assert not unused & executed
+
+
+def test_tracer_finds_every_traced_module_after_importing_the_cli():
+    # bench/spans.py wraps only the freepoisson modules in sys.modules and
+    # reads freepoisson.depend from there: a lazily registered module must
+    # be present after `import freepoisson.cli`, and install executes it
+    script = (
+        "import sys\n"
+        "import freepoisson.cli\n"
+        "present = set(sys.modules)\n"
+        f"sys.path.insert(0, {BENCH!r})\n"
+        "import spans\n"
+        "missing = sorted({'freepoisson.' + m for m, _ in spans.TARGETS} - present)\n"
+        "assert not missing, missing\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "tracer.active = True\n"
+        "assert freepoisson.cli.run(['depend', '-n', '1', 'h(x1)', 'x1*h(x1)']) == 0\n"
+        "totals = tracer.layer_totals()\n"
+        "assert totals['cli.run.calls'] == 1 and totals['depend.decide_left_dependence.calls'] == 1, totals\n"
+        "assert totals['depend.reduction_steps'] > 0, totals\n"
+    )
+    proc = fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -225,19 +303,23 @@ def test_installed_entry_point():
     assert proc.stdout == "[x1,x2]\n"
 
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.jsonl")
-
-
 def test_golden_transcript():
     # stdout and exit code of a fixed set of calls covering every
     # subcommand, recorded once; output must stay byte-identical
-    with open(GOLDEN) as fh:
-        cases = [json.loads(line) for line in fh if line.strip()]
+    cases = golden_cases()
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert {c["argv"][0] for c in cases} == set(sub.choices)
     for case in cases:
         code, out, _ = cap(case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+@pytest.mark.parametrize("case", golden_cases(first_per_command=True), ids=lambda c: c["argv"][0])
+def test_golden_transcript_in_a_fresh_process(case):
+    # this session has executed every module by now; a new process starts
+    # with all of them unexecuted, as each fpa call does
+    proc = fresh("-m", "freepoisson.cli", *case["argv"])
+    assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"]), proc.stderr
 
 
 def test_oracle_over_budget_is_undecided():
@@ -263,11 +345,7 @@ def test_long_h_words_do_not_exhaust_the_stack():
 )
 def test_exponents_above_the_limit_are_undecided(argv):
     script = "import sys\nfrom freepoisson.cli import run\nsys.exit(run(sys.argv[1:]))\n"
-    src = os.path.dirname(os.path.dirname(freepoisson.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=2
-    )
+    proc = fresh("-c", script, *argv, timeout=2)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("undecided: exponent") and "Traceback" not in proc.stderr
 

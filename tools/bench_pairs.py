@@ -22,6 +22,14 @@ quartile over the median, the pairs in which the change is better (ties
 count for neither side), the metrics left unresolved because the spread of
 either side is wider than the metric's bound in BENCHMARK.json, and the
 raw runs.  Nothing in the repository is written.
+
+With --claim METRIC:WORKLOAD the object also has a "claim" field: the
+metric and workload, the pairs the change won out of the pairs run, the
+difference of the medians (positive when the change is better), the
+distance between the quartiles of the parent's runs, and whether the
+claim holds: at least ten pairs, the change better in at least nine
+tenths of them (ties counting for neither side), and a median difference
+greater than that quartile distance.
 """
 
 import argparse
@@ -45,6 +53,14 @@ def parse_plan(text):
         lo, _, hi = part.partition("-")
         out += range(int(lo), int(hi or lo) + 1)
     return names.split(","), out
+
+
+def parse_claim(text):
+    """'ops_per_s:fpa' -> ('ops_per_s', 'fpa')."""
+    metric, _, workload = text.partition(":")
+    if not metric or not workload:
+        raise argparse.ArgumentTypeError(f"expected METRIC:WORKLOAD, got {text!r}")
+    return metric, workload
 
 
 def unpack_parent(rev, path):
@@ -108,15 +124,39 @@ def summarize(seeds, results, metrics):
     }
 
 
+def claim(metric, workload, parent_runs, change_runs):
+    """The verdict on a claimed gain in `metric` on `workload`."""
+    sign = 1 if metric["better"] == "higher" else -1
+    pairs = len(parent_runs)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent_runs, change_runs))
+    difference = sign * (statistics.median(change_runs) - statistics.median(parent_runs))
+    q1, _, q3 = statistics.quantiles(parent_runs, n=4) if pairs > 1 else (0, 0, 0)
+    return {
+        "metric": metric["name"],
+        "workload": workload,
+        "pairs_won": f"{wins} of {pairs}",
+        "median_difference": round(difference, 4),
+        "parent_quartile_distance": round(q3 - q1, 4),
+        "holds": pairs >= 10 and wins >= 0.9 * pairs and difference > q3 - q1,
+    }
+
+
 def main(argv):
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("parent", help="git revision of the parent")
     p.add_argument("--plan", type=parse_plan, action="append", required=True, help="WORKLOADS:SEEDS, e.g. quantize,fpa:1-6")
+    p.add_argument("--claim", type=parse_claim, help="METRIC:WORKLOAD of a claimed gain, e.g. ops_per_s:fpa")
     args = p.parse_args(argv)
     with open("BENCHMARK.json") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
+    if args.claim:
+        claimed = next((m for m in metrics if m["name"] == args.claim[0]), None)
+        if claimed is None:
+            p.error(f"--claim: {args.claim[0]!r} is not an end-to-end metric of BENCHMARK.json")
+        if not any(args.claim[1] in workloads for workloads, _ in args.plan):
+            p.error(f"--claim: no plan runs the workload {args.claim[1]!r}")
     parent = subprocess.run(["git", "rev-parse", "--short", args.parent], check=True, capture_output=True, text=True)
     head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], check=True, capture_output=True, text=True)
     dirty = subprocess.run(["git", "status", "--porcelain"], check=True, capture_output=True, text=True)
@@ -147,6 +187,10 @@ def main(argv):
         "command": " ".join(bench["command"]) + f" --workload W --seed N --seconds {seconds:g} --trace 0",
         "workloads": {w: summarize(seeds[w], results[w], metrics) for w in seeds},
     }
+    if args.claim:
+        name, workload = args.claim
+        runs = out["workloads"][workload]["runs"]
+        out["claim"] = claim(claimed, workload, runs["parent"][name], runs["change"][name])
     print(json.dumps(out, indent=1))
     return 0
 
