@@ -12,10 +12,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import depend, poisson
+from . import depend, linalg, poisson
 from .core import Record
 from .env import Env, env_mul, ham, split
-from .linalg import SparseSolver
 from .poisson import Poly
 
 
@@ -178,7 +177,7 @@ def _search_box(J, hb, cb, n_vars):
     V*J = 0, does not end the search: the later columns are still added.
     """
     columns = depend.ColumnBuilder(J.entries, depend.words_up_to(n_vars, hb), depend.monomials_up_to(n_vars, cb))
-    solver = SparseSolver()
+    solver = linalg.SparseSolver()
     for _ in columns.kernels(solver):
         pass
     entries = []
@@ -225,13 +224,15 @@ def _fit_box(n, n_vars, hb, cb, budget):
     return box(lo)
 
 
-def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BUDGET):
+def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=None):
     """Search for an exact two-sided inverse of J over the enveloping algebra.
 
     Coefficients of the candidate inverse are confined to h-words of
     length <= hdeg_bound with polynomial coefficients of degree <=
-    coeff_deg_bound.  An "invertible" result is always re-verified by
-    multiplying out; "unknown" is never a claim of non-invertibility.
+    coeff_deg_bound, and the box is shrunk to at most `budget` unknowns
+    (depend.BOX_BUDGET when None).  An "invertible" result is always
+    re-verified by multiplying out; "unknown" is never a claim of
+    non-invertibility.
 
     The box search solves only V*J = I (_search_box).  A two-sided inverse
     is also the only left inverse: V*J = I gives V = (V*J)*V0 = V0 for any
@@ -261,6 +262,8 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=depend.BOX_BU
                 raise AssertionError("adjugate inverse failed verification")
             return InversionResult("invertible", V, True)
 
+    if budget is None:
+        budget = depend.BOX_BUDGET
     box = _fit_box(n, n_vars, hdeg_bound, coeff_deg_bound, budget)
     if box is None:
         return InversionResult("unknown", None, False)

@@ -7,6 +7,7 @@ exhausted).
 
 import argparse
 import itertools
+import operator
 import sys
 
 from . import calculus, depend, env, symplectic, syntax
@@ -27,19 +28,29 @@ def _emit(args, value):
     return 0
 
 
-def _cmd_bracket(args):
-    return _emit(args, parse_element(args.expr, args.n, "poisson"))
+# The subcommands that parse their operands in one mode, apply one function
+# and print the result, as (name, help, mode, operands, module, function).
+# A mode of None is chosen by --mode; a function of None prints the one
+# operand.  The function is read from its module by name on each call, so
+# building the parser executes no module and a rebound attribute is seen.
+_APPLY = (
+    ("bracket", "evaluate a bracket expression", "poisson", ("expr",), None, None),
+    ("mul", "multiply two elements", None, ("lhs", "rhs"), operator, "mul"),
+    ("ham", "Hamiltonian of a bracket polynomial", "poisson", ("expr",), env, "ham"),
+    ("moyal", "Moyal star product", "symplectic", ("f", "g"), symplectic, "moyal"),
+    ("symmetrize", "symmetrization into the Weyl algebra", "symplectic", ("f",), symplectic, "symmetrize"),
+    ("theta-left", "left Weyl embedding", "weyl", ("a",), symplectic, "theta_left"),
+    ("theta-right", "right Weyl embedding", "weyl", ("a",), symplectic, "theta_right"),
+    ("weyl-mul", "product in the Weyl algebra", "weyl", ("lhs", "rhs"), symplectic, "weyl_mul"),
+)
 
 
-def _cmd_mul(args):
-    a = parse_element(args.lhs, args.n, args.mode)
-    b = parse_element(args.rhs, args.n, args.mode)
-    return _emit(args, a * b)
-
-
-def _cmd_ham(args):
-    p = parse_element(args.expr, args.n, "poisson")
-    return _emit(args, env.ham(p))
+def _cmd_apply(args):
+    mode, operands, module, function = args.apply
+    values = [parse_element(getattr(args, name), args.n, mode or args.mode) for name in operands]
+    if function is not None:
+        values = [getattr(module, function)(*values)]
+    return _emit(args, values[0])
 
 
 def _cmd_fox(args):
@@ -130,33 +141,6 @@ def _cmd_pair_status(args):
     return 0
 
 
-def _cmd_moyal(args):
-    f = parse_element(args.f, args.n, "symplectic")
-    g = parse_element(args.g, args.n, "symplectic")
-    return _emit(args, symplectic.moyal(f, g))
-
-
-def _cmd_symmetrize(args):
-    f = parse_element(args.f, args.n, "symplectic")
-    return _emit(args, symplectic.symmetrize(f))
-
-
-def _cmd_theta_left(args):
-    a = parse_element(args.a, args.n, "weyl")
-    return _emit(args, symplectic.theta_left(a))
-
-
-def _cmd_theta_right(args):
-    a = parse_element(args.a, args.n, "weyl")
-    return _emit(args, symplectic.theta_right(a))
-
-
-def _cmd_weyl_mul(args):
-    a = parse_element(args.lhs, args.n, "weyl")
-    b = parse_element(args.rhs, args.n, "weyl")
-    return _emit(args, symplectic.weyl_mul(a, b))
-
-
 def _cmd_check(args):
     from . import checks
 
@@ -180,19 +164,17 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="fpa", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", parents=[common], help="evaluate a bracket expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_bracket)
+    def add_apply(rows):
+        for name, summary, mode, operands, module, function in rows:
+            p = sub.add_parser(name, parents=[common], help=summary)
+            if mode is None:
+                p.add_argument("--mode", choices=("poisson", "env", "symplectic", "weyl"), default="env")
+            for operand in operands:
+                p.add_argument(operand)
+            p.set_defaults(func=_cmd_apply, apply=(mode, operands, module, function))
 
-    p = sub.add_parser("mul", parents=[common], help="multiply two elements")
-    p.add_argument("--mode", choices=("poisson", "env", "symplectic", "weyl"), default="env")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(func=_cmd_mul)
-
-    p = sub.add_parser("ham", parents=[common], help="Hamiltonian of a bracket polynomial")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_ham)
+    # help lists the subcommands in the order they are added here
+    add_apply(_APPLY[:3])
 
     p = sub.add_parser("fox", parents=[common], help="partial derivative into the enveloping algebra")
     p.add_argument("expr")
@@ -218,27 +200,7 @@ def _build_parser():
     p.add_argument("g")
     p.set_defaults(func=_cmd_pair_status)
 
-    p = sub.add_parser("moyal", parents=[common], help="Moyal star product")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_moyal)
-
-    p = sub.add_parser("symmetrize", parents=[common], help="symmetrization into the Weyl algebra")
-    p.add_argument("f")
-    p.set_defaults(func=_cmd_symmetrize)
-
-    p = sub.add_parser("theta-left", parents=[common], help="left Weyl embedding")
-    p.add_argument("a")
-    p.set_defaults(func=_cmd_theta_left)
-
-    p = sub.add_parser("theta-right", parents=[common], help="right Weyl embedding")
-    p.add_argument("a")
-    p.set_defaults(func=_cmd_theta_right)
-
-    p = sub.add_parser("weyl-mul", parents=[common], help="product in the Weyl algebra")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(func=_cmd_weyl_mul)
+    add_apply(_APPLY[3:])
 
     p = sub.add_parser("check", parents=[base], help="run property suites")
     p.add_argument("-n", type=int, help="ignored: each suite draws its own n")

@@ -299,6 +299,22 @@ def _mono_factors(m):
     return facs
 
 
+def _sp_factors(e, form="{}"):
+    """Factors of an exponent vector over x1..xn, y1..yn, each name put in form."""
+    n = len(e) // 2
+    facs = []
+    for k, exp in enumerate(e):
+        if not exp:
+            continue
+        name = form.format(f"x{k + 1}" if k < n else f"y{k - n + 1}")
+        facs.append(f"{name}^{exp}" if exp > 1 else name)
+    return facs
+
+
+def _pmono(m):
+    return [{"basis": render_word(w), "exp": e} for w, e in m]
+
+
 def _display_cmp(a, b):
     da, db = poisson.mono_deg(a), poisson.mono_deg(b)
     if da != db:
@@ -306,9 +322,34 @@ def _display_cmp(a, b):
     return poisson.mono_cmp(a, b)
 
 
-def _poly_display(p):
-    monos = sorted(p.terms, key=functools.cmp_to_key(_display_cmp))
-    return [(m, p.terms[m]) for m in monos]
+# --- display walks: (key, coefficient) in display order ------------------
+
+
+def _poly_walk(p):
+    for m in sorted(p.terms, key=functools.cmp_to_key(_display_cmp)):
+        yield m, p.terms[m]
+
+
+def _env_walk(u):
+    for w in sorted(u.terms, key=graded_lex_key, reverse=True):
+        for m, c in _poly_walk(u.terms[w]):
+            yield (m, w), c
+
+
+def _sp_walk(f):
+    for e in sorted(f.terms, key=lambda e: (-sum(e), e)):
+        yield e, f.terms[e]
+
+
+def _weyl_walk(a):
+    for k in sorted(a.terms, key=lambda k: (-sum(k[0]) - sum(k[1]), k)):
+        yield k, a.terms[k]
+
+
+def _pnenv_walk(u):
+    for g in sorted(u.terms, key=lambda g: (mi_norm(g), tuple(-v for v in g))):
+        for e, c in _sp_walk(u.terms[g]):
+            yield (e, g), c
 
 
 def _join_terms(items):
@@ -334,152 +375,37 @@ def _join_terms(items):
     return "".join(parts)
 
 
-def render_poisson(p):
-    items = [(c, _mono_factors(m)) for m, c in _poly_display(p)]
-    return _join_terms(items)
-
-
-def _env_display(u):
-    items = []
-    for w in sorted(u.terms, key=graded_lex_key, reverse=True):
-        hfacs = [f"h(x{j})" for j in w]
-        for m, c in _poly_display(u.terms[w]):
-            items.append((c, _mono_factors(m) + hfacs))
-    return items
-
-
-def render_env(u):
-    return _join_terms(_env_display(u))
-
-
-def _sp_factors(n, e):
-    facs = []
-    for k, exp in enumerate(e):
-        if not exp:
-            continue
-        name = f"x{k + 1}" if k < n else f"y{k - n + 1}"
-        facs.append(f"{name}^{exp}" if exp > 1 else name)
-    return facs
-
-
-def _sp_display(f):
-    keys = sorted(f.terms, key=lambda e: (-sum(e), e))
-    return [(e, f.terms[e]) for e in keys]
-
-
-def render_spoly(f):
-    items = [(c, _sp_factors(f.n, e)) for e, c in _sp_display(f)]
-    return _join_terms(items)
-
-
-def render_weyl(a):
-    keys = sorted(a.terms, key=lambda k: (-(sum(k[0]) + sum(k[1])), k))
-    items = [(a.terms[k], _sp_factors(a.n, k[0] + k[1])) for k in keys]
-    return _join_terms(items)
-
-
-def _h_factors(n, g):
-    facs = []
-    for k, exp in enumerate(g):
-        if not exp:
-            continue
-        name = f"h(x{k + 1})" if k < n else f"h(y{k - n + 1})"
-        facs.append(f"{name}^{exp}" if exp > 1 else name)
-    return facs
-
-
-def render_pnenv(u):
-    n = u.n
-    items = []
-    for g in sorted(u.terms, key=lambda g: (mi_norm(g), tuple(-v for v in g))):
-        hfacs = _h_factors(n, g)
-        for e, c in _sp_display(u.terms[g]):
-            items.append((c, _sp_factors(n, e) + hfacs))
-    return _join_terms(items)
-
-
 def render(value):
-    return _forms(value, "render")[0](value)
-
-
-# --- structured (JSON) forms -------------------------------------------
-
-
-def json_poisson(p):
-    return {
-        "terms": [
-            {
-                "coeff": format_scalar(c),
-                "pmono": [{"basis": render_word(w), "exp": e} for w, e in m],
-            }
-            for m, c in _poly_display(p)
-        ]
-    }
-
-
-def json_env(u):
-    terms = []
-    for w in sorted(u.terms, key=graded_lex_key, reverse=True):
-        for m, c in _poly_display(u.terms[w]):
-            terms.append(
-                {
-                    "coeff": format_scalar(c),
-                    "pmono": [{"basis": render_word(bw), "exp": e} for bw, e in m],
-                    "hword": list(w),
-                }
-            )
-    return {"terms": terms}
-
-
-def json_spoly(f):
-    return {
-        "terms": [
-            {"coeff": format_scalar(c), "exponents": list(e)}
-            for e, c in _sp_display(f)
-        ]
-    }
-
-
-def json_weyl(a):
-    keys = sorted(a.terms, key=lambda k: (-(sum(k[0]) + sum(k[1])), k))
-    return {
-        "terms": [
-            {
-                "coeff": format_scalar(a.terms[k]),
-                "xexp": list(k[0]),
-                "yexp": list(k[1]),
-            }
-            for k in keys
-        ]
-    }
-
-
-def json_pnenv(u):
-    terms = []
-    for g in sorted(u.terms, key=lambda g: (mi_norm(g), tuple(-v for v in g))):
-        for e, c in _sp_display(u.terms[g]):
-            terms.append(
-                {
-                    "coeff": format_scalar(c),
-                    "exponents": list(e),
-                    "hindex": list(g),
-                }
-            )
-    return {"terms": terms}
+    walk, factors, _ = _forms(value, "render")
+    return _join_terms([(c, factors(key)) for key, c in walk(value)])
 
 
 def to_json(value):
-    return _forms(value, "encode")[1](value)
+    walk, _, fields = _forms(value, "encode")
+    return {"terms": [{"coeff": format_scalar(c), **fields(key)} for key, c in walk(value)]}
 
 
-# (render, to_json) by the qualified name of the value's type: picking them
-# needs no class object, so it executes no module the value is not from
+# (walk, text factors of a key, JSON fields of a key) by the qualified name
+# of the value's type: picking them needs no class object, so it executes
+# no module the value is not from
 _FORMS = {
-    f"{__package__}.poisson.Poly": (render_poisson, json_poisson),
-    f"{__package__}.env.Env": (render_env, json_env),
-    f"{__package__}.symplectic.SPoly": (render_spoly, json_spoly),
-    f"{__package__}.symplectic.Weyl": (render_weyl, json_weyl),
-    f"{__package__}.symplectic.PnEnv": (render_pnenv, json_pnenv),
+    f"{__package__}.poisson.Poly": (_poly_walk, _mono_factors, lambda m: {"pmono": _pmono(m)}),
+    f"{__package__}.env.Env": (
+        _env_walk,
+        lambda k: _mono_factors(k[0]) + [f"h(x{j})" for j in k[1]],
+        lambda k: {"pmono": _pmono(k[0]), "hword": list(k[1])},
+    ),
+    f"{__package__}.symplectic.SPoly": (_sp_walk, _sp_factors, lambda e: {"exponents": list(e)}),
+    f"{__package__}.symplectic.Weyl": (
+        _weyl_walk,
+        lambda k: _sp_factors(k[0] + k[1]),
+        lambda k: {"xexp": list(k[0]), "yexp": list(k[1])},
+    ),
+    f"{__package__}.symplectic.PnEnv": (
+        _pnenv_walk,
+        lambda k: _sp_factors(k[0]) + _sp_factors(k[1], "h({})"),
+        lambda k: {"exponents": list(k[0]), "hindex": list(k[1])},
+    ),
 }
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from freepoisson import calculus, depend
+from freepoisson import calculus, depend, linalg
 from freepoisson.calculus import (
     Endomorphism,
     EnvMatrix,
@@ -297,7 +297,7 @@ def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
                 self.held_at_kernel.append(len(self.pivots))
                 yield kernel
 
-    monkeypatch.setattr(calculus, "SparseSolver", Recording)
+    monkeypatch.setattr(linalg, "SparseSolver", Recording)
     assert calculus._search_box(J, 1, 2, 2) is None
     (solver,) = made
     reference, kernels = SparseSolver(), []

@@ -237,6 +237,8 @@ UNUSED_BY = {
     "symmetrize": {"env", "linalg", "depend", "calculus"},
     "weyl-mul": {"env", "linalg", "depend", "calculus"},
     "depend": {"calculus", "symplectic"},
+    "fox": {"depend", "linalg", "symplectic"},
+    "jacobian": {"depend", "linalg", "symplectic"},
 }
 
 
@@ -312,6 +314,21 @@ def test_golden_transcript():
     for case in cases:
         code, out, _ = cap(case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help recorded with the argparse of Python 3.11")
+def test_help_texts(monkeypatch):
+    # `fpa --help` and `fpa CMD --help` for all 13 subcommands at 80
+    # columns, recorded once; the parser must print them byte for byte.
+    # argparse words help differently in other versions (3.10 heads the
+    # options "optional arguments:")
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(os.path.join(os.path.dirname(__file__), "data", "cli_help.jsonl")) as fh:
+        cases = [json.loads(line) for line in fh if line.strip()]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [c["argv"] for c in cases] == [["--help"]] + [[cmd, "--help"] for cmd in sub.choices]
+    for case in cases:
+        assert cap(case["argv"]) == (case["exit"], case["stdout"], ""), case["argv"]
 
 
 @pytest.mark.parametrize("case", golden_cases(first_per_command=True), ids=lambda c: c["argv"][0])

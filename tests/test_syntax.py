@@ -123,3 +123,28 @@ def test_to_json_shapes():
     }
     got = to_json(SPoly.x(1, 1))
     assert got == {"terms": [{"coeff": "1", "exponents": [1, 0]}]}
+    got = to_json(weyl_mul(Weyl.Y(1, 1), Weyl.X(1, 1)))
+    assert got == {
+        "terms": [
+            {"coeff": "1", "xexp": [1], "yexp": [1]},
+            {"coeff": "-1", "xexp": [0], "yexp": [0]},
+        ]
+    }
+    got = to_json(rho_w(SPoly.x(1, 1) * SPoly.y(1, 1)))
+    assert got == {
+        "terms": [
+            {"coeff": "1", "exponents": [1, 1], "hindex": [0, 0]},
+            {"coeff": "1/2", "exponents": [0, 1], "hindex": [1, 0]},
+            {"coeff": "1/2", "exponents": [1, 0], "hindex": [0, 1]},
+            {"coeff": "1/4", "exponents": [0, 0], "hindex": [1, 1]},
+        ]
+    }
+    # the coefficient comes first in every term
+    assert [list(t) for t in got["terms"]] == [["coeff", "exponents", "hindex"]] * 4
+    assert list(to_json(Env({(2,): X1}))["terms"][0]) == ["coeff", "pmono", "hword"]
+
+
+def test_values_without_forms_are_type_errors():
+    for convert, verb in ((render, "render"), (to_json, "encode")):
+        with pytest.raises(TypeError, match=f"cannot {verb} "):
+            convert(Lie.generator(1))
