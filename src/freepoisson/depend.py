@@ -282,9 +282,8 @@ def _infer_n(elements):
         for w, p in s.terms.items():
             if w:
                 n = max(n, max(w))
-            for m in p.terms:
-                for bw, _ in m:
-                    n = max(n, max(bw))
+            for bw in p.variables():
+                n = max(n, max(bw))
     return n
 
 

@@ -62,20 +62,6 @@ class Env(Terms):
             raise ValueError("zero element has no leading word")
         return max(self.terms, key=graded_lex_key)
 
-    def leading_coeff(self):
-        return self.terms[self.leading_word()]
-
-    def leading_term(self):
-        w = self.leading_word()
-        return Env._make({w: self.terms[w]})
-
-    def top_part(self):
-        """Terms whose h-word has maximal length."""
-        if not self.terms:
-            return Env()
-        d = self.hdeg()
-        return Env._make({w: p for w, p in self.terms.items() if len(w) == d})
-
     def split(self):
         """(polynomial part, remainder with nonempty h-words)."""
         p = self.terms.get((), Poly.zero())
@@ -173,8 +159,8 @@ def ham(p):
     """
     out = {}
     for m, c in p.terms.items():
-        for w, e in m:
-            cof = Poly._make({poisson.mono_div(m, w): c * e})
+        for w, e, rest in poisson.partials(m):
+            cof = Poly._make({rest: c * e})
             accumulate(out, (cof * _ham_word(w)).terms.items())
     return Env._make(out)
 
@@ -190,19 +176,21 @@ def ldm(u):
 
 def ldc(u):
     """Coefficient of the leading h-word (the literal, unnormalized Poly)."""
-    return u.leading_coeff()
+    return u.terms[u.leading_word()]
 
 
 def ldt(u):
     """Leading term: leading coefficient times leading word."""
-    return u.leading_term()
+    w = u.leading_word()
+    return Env._make({w: u.terms[w]})
 
 
 def top(u):
     """Highest hdeg-homogeneous part; errors on zero."""
     if u.is_zero():
         raise ValueError("zero element has no top part")
-    return u.top_part()
+    d = u.hdeg()
+    return Env._make({w: p for w, p in u.terms.items() if len(w) == d})
 
 
 def split(u):

@@ -3,9 +3,11 @@
 The underlying commutative algebra is the polynomial algebra whose
 variables are the Lyndon-basis elements of the free Lie algebra; the
 bracket of two basis elements is rewritten in the free Lie algebra and
-extended to products by the Leibniz rule.  A monomial is stored as a
-tuple of (word, exponent) pairs sorted by the basis order (degree, then
-lex on the word).
+extended to products by the Leibniz rule, over the factors that
+`partials` gives.  A monomial is stored as a tuple of (word, exponent)
+pairs sorted by the basis order (degree, then lex on the word).
+`mono_key` states the canonical monomial order: every leading term and
+every display order is taken in it.
 """
 
 import heapq
@@ -17,16 +19,12 @@ from . import freelie
 from .core import SCALARS, Terms, accumulate, graded_lex_key
 
 
-def _basis_key(word):
-    return graded_lex_key(word)
-
-
 def mono_mul(m1, m2):
     """Merge two monomials, adding exponents."""
     out = dict(m1)
     for w, e in m2:
         out[w] = out.get(w, 0) + e
-    return tuple(sorted(out.items(), key=lambda t: _basis_key(t[0])))
+    return tuple(sorted(out.items(), key=lambda t: graded_lex_key(t[0])))
 
 
 def mono_deg(m):
@@ -39,50 +37,17 @@ def mono_deg_var(m, i):
     return sum(w.count(i) * e for w, e in m)
 
 
-def mono_multideg(m, n):
-    return tuple(mono_deg_var(m, i) for i in range(1, n + 1))
+def mono_key(m):
+    """Sort key of the canonical monomial order: degree first, then the
+    exponent vectors over the basis order compared lexicographically, a
+    positive exponent at an earlier basis word counting as larger."""
+    return mono_deg(m), tuple((-len(w), tuple(-a for a in w), e) for w, e in m)
 
 
-def mono_div(m, word):
-    """Divide a monomial by one basis factor; the factor must occur."""
-    out = dict(m)
-    e = out.get(word, 0)
-    if e <= 0:
-        raise ValueError("factor does not divide monomial")
-    if e == 1:
-        del out[word]
-    else:
-        out[word] = e - 1
-    return tuple(sorted(out.items(), key=lambda t: _basis_key(t[0])))
-
-
-def mono_divides(m1, m2):
-    """True iff m1 divides m2 factor-wise."""
-    d2 = dict(m2)
-    return all(d2.get(w, 0) >= e for w, e in m1)
-
-
-def mono_cmp(a, b):
-    """Canonical monomial order: degree first, then lex on exponent vectors."""
-    da, db = mono_deg(a), mono_deg(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia = ib = 0
-    while ia < len(a) or ib < len(b):
-        ka = _basis_key(a[ia][0]) if ia < len(a) else None
-        kb = _basis_key(b[ib][0]) if ib < len(b) else None
-        if ka == kb:
-            ea, eb = a[ia][1], b[ib][1]
-            if ea != eb:
-                return -1 if ea < eb else 1
-            ia += 1
-            ib += 1
-        elif kb is None or (ka is not None and ka < kb):
-            # a has a positive exponent at an earlier basis position
-            return 1
-        else:
-            return -1
-    return 0
+def partials(m):
+    """(w, e, m / w) for each factor w^e of the monomial m: the Leibniz
+    cofactors of a derivation applied to m."""
+    return [(w, e, m[:i] + ((w, e - 1),) * (e > 1) + m[i + 1 :]) for i, (w, e) in enumerate(m)]
 
 
 class Poly(Terms):
@@ -147,10 +112,7 @@ class Poly(Terms):
         """(monomial, coefficient) maximal in the canonical order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        best = None
-        for m in self.terms:
-            if best is None or mono_cmp(m, best) > 0:
-                best = m
+        best = max(self.terms, key=mono_key)
         return best, self.terms[best]
 
     def monic(self):
@@ -188,13 +150,13 @@ def p_mul(a, b):
 def p_bracket(a, b):
     """Poisson bracket, extended from the Lie bracket by the Leibniz rule."""
     out = {}
+    right = [(c2, partials(m2)) for m2, c2 in b.terms.items()]
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+        left = partials(m1)
+        for c2, parts in right:
             c = c1 * c2
-            for w1, e1 in m1:
-                cof1 = mono_div(m1, w1)
-                for w2, e2 in m2:
-                    cof2 = mono_div(m2, w2)
+            for w1, e1, cof1 in left:
+                for w2, e2, cof2 in parts:
                     base = freelie.lie_bracket(freelie.Lie({w1: 1}), freelie.Lie({w2: 1}))
                     if base.is_zero():
                         continue
@@ -247,7 +209,7 @@ def _exponents(words, p):
 
 
 def _from_exponents(words, terms):
-    order = sorted(range(len(words)), key=lambda i: _basis_key(words[i]))
+    order = sorted(range(len(words)), key=lambda i: graded_lex_key(words[i]))
     return Poly({tuple((words[i], e[i]) for i in order if e[i]): c for e, c in terms.items()})
 
 
@@ -298,9 +260,9 @@ def divexact(a, b):
     """Exact polynomial division a / b; raises ValueError if not divisible."""
     if b.is_zero():
         raise ValueError("division by zero polynomial")
-    words = sorted(a.variables() | b.variables(), key=_basis_key)
+    words = sorted(a.variables() | b.variables(), key=graded_lex_key)
     lens = [len(w) for w in words]
-    # keyed by (degree, exponents), whose tuple order is the canonical order
+    # keyed by (degree, exponents), whose tuple order is that of mono_key
     a, b = ({(sum(map(mul, lens, e)),) + e: c for e, c in _exponents(words, p).items()} for p in (a, b))
     quo = _divide(a, b, truediv)
     if quo is None:
@@ -461,7 +423,7 @@ def p_gcd(a, b):
     if a.is_constant() or b.is_constant():
         return Poly.one()
     da, db = _degrees(a), _degrees(b)
-    words = sorted(da.keys() | db.keys(), key=lambda w: (w in da and w in db, max(da.get(w, 0), db.get(w, 0)), _basis_key(w)))
+    words = sorted(da.keys() | db.keys(), key=lambda w: (w in da and w in db, max(da.get(w, 0), db.get(w, 0)), graded_lex_key(w)))
     parts, contents = [], []
     for p in (a, b):
         terms = _exponents(words, p)

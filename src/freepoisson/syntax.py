@@ -20,7 +20,6 @@ BudgetError.  Rendering is deterministic and parseable: every
 value satisfies parse(render(v)) = v in its own mode.
 """
 
-import functools
 from fractions import Fraction
 
 from . import env, freelie, poisson, symplectic
@@ -315,18 +314,11 @@ def _pmono(m):
     return [{"basis": render_word(w), "exp": e} for w, e in m]
 
 
-def _display_cmp(a, b):
-    da, db = poisson.mono_deg(a), poisson.mono_deg(b)
-    if da != db:
-        return -1 if da > db else 1
-    return poisson.mono_cmp(a, b)
-
-
 # --- display walks: (key, coefficient) in display order ------------------
 
 
 def _poly_walk(p):
-    for m in sorted(p.terms, key=functools.cmp_to_key(_display_cmp)):
+    for m in sorted(p.terms, key=lambda m: (-poisson.mono_deg(m), poisson.mono_key(m))):
         yield m, p.terms[m]
 
 

@@ -12,13 +12,13 @@ from freepoisson.poisson import (
     evaluate,
     mono_deg,
     mono_deg_var,
-    mono_divides,
+    mono_key,
     mono_mul,
-    mono_multideg,
     p_bracket,
     p_deg,
     p_deg_var,
     p_gcd,
+    partials,
 )
 from freepoisson.sampling import rand_lie, rand_poly, rand_poly_nonzero
 
@@ -54,10 +54,44 @@ def test_monomial_helpers():
     assert mono_deg(m) == 4
     assert mono_deg_var(m, 1) == 3
     assert mono_deg_var(m, 2) == 1
-    assert mono_multideg(m, 2) == (3, 1)
     assert mono_mul((((1,), 1),), (((1,), 1), ((2,), 1))) == (((1,), 2), ((2,), 1))
-    assert mono_divides((((1,), 1),), (((1,), 2),))
-    assert not mono_divides((((2,), 1),), (((1,), 2),))
+
+
+def test_mono_key_hand_cases():
+    x1, x2, x12 = (1,), (2,), (1, 2)
+    # degree decides first
+    assert mono_key(((x2, 2),)) > mono_key(((x1, 1),))
+    assert mono_key(((x12, 1),)) > mono_key(((x1, 1),))
+    # an earlier basis word wins: shorter first, then lex on letters
+    assert mono_key(((x1, 1), (x2, 1))) > mono_key(((x2, 2),))
+    assert mono_key(((x1, 2),)) > mono_key(((x12, 1),))
+    assert mono_key((((1, 1, 2), 1),)) > mono_key((((1, 2, 2), 1),))
+    # a larger exponent at the same word wins
+    assert mono_key(((x1, 2), (x2, 1))) > mono_key(((x1, 1), (x2, 2)))
+    # a factor list that is a prefix of the other is smaller
+    assert mono_key(((x1, 1),)) < mono_key(((x1, 1), (x2, 1)))
+    assert mono_key(()) < mono_key(((x1, 1),))
+
+
+def test_leading_term_is_multiplicative():
+    rng = random.Random(61)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        p = rand_poly_nonzero(rng, n, 4, terms=3)
+        q = rand_poly_nonzero(rng, n, 4, terms=3)
+        (lp, cp), (lq, cq) = p.leading(), q.leading()
+        assert (p * q).leading() == (mono_mul(lp, lq), cp * cq)
+
+
+def test_partials_are_leibniz_cofactors():
+    m = (((1,), 1), ((2,), 3), ((1, 2), 2))
+    got = partials(m)
+    assert [(w, e) for w, e, _ in got] == list(m)
+    assert got[0][2] == (((2,), 3), ((1, 2), 2))
+    assert got[1][2] == (((1,), 1), ((2,), 2), ((1, 2), 2))
+    for w, _, cof in got:
+        assert mono_mul(cof, ((w, 1),)) == m
+    assert partials(()) == []
 
 
 def test_bracket_known_values():
