@@ -307,40 +307,27 @@ def _normalize_pair(lam, mu):
 def pair_status(f, g, max_steps=100_000):
     """Classify a pair: free when the bracket is nonzero, else dependent.
 
-    On the dependent branch produces lam, mu in P with
-    lam * ham(f) = mu * ham(g) when such coefficients are found; the
-    general enveloping witness is always attached.  Raises BudgetError
-    when the bounded search for lam, mu would exceed depend.BOX_BUDGET.
+    On the dependent branch lam, mu in P with lam * ham(f) = mu * ham(g)
+    are the polynomial parts of the verified witness (lam, -mu) that
+    depend.decide_left_dependence gives for (ham(f), ham(g)), normalized;
+    the witness is attached too.  That witness is always polynomial: if
+    {f, g} = 0 and neither is constant, then f, g lie in k[a] for one a
+    (the centralizer theorem, Makar-Limanov and Umirbaev, Proc. AMS 135,
+    2007), so ham(f) = F'(a)*ham(a) and ham(g) = G'(a)*ham(a) share the
+    leading word of ham(a), and the first reduction, row 0 by row 1 with
+    t = (), gives zero with a witness of h-degree 0.  A constant input
+    gives a unit witness.  A witness that is not polynomial raises
+    AssertionError.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("pair_status requires nonzero inputs")
     if not poisson.p_bracket(f, g).is_zero():
         return PairStatus("free", None, None, None)
-    hf, hg = ham(f), ham(g)
-    verdict = depend.decide_left_dependence([hf, hg], max_steps=max_steps)
+    verdict = depend.decide_left_dependence([ham(f), ham(g)], max_steps=max_steps)
     if verdict.status != "dependent":
         raise AssertionError("vanishing bracket must force dependence")
-    w1, w2 = verdict.witness
-
-    def try_pair(lam, mu):
-        if lam.is_zero() and mu.is_zero():
-            return None
-        if (lam * hf - mu * hg).is_zero():
-            return _normalize_pair(lam, mu)
-        return None
-
-    got = try_pair(split(w1)[0], -split(w2)[0])
-    if got is None:
-        base = max(int(max(f.deg(), g.deg())), 1)
-        for extra in (0, 2, 4):
-            w = depend.brute_force_dependence(
-                [hf, hg], 0, base + extra, n=depend._infer_n([hf, hg])
-            )
-            if w is not None:
-                got = try_pair(split(w[0])[0], -split(w[1])[0])
-                if got is not None:
-                    break
-    if got is None:
-        return PairStatus("dependent", None, None, verdict.witness)
-    lam, mu = got
+    (lam, rest_f), (neg_mu, rest_g) = map(split, verdict.witness)
+    if not (rest_f.is_zero() and rest_g.is_zero()):
+        raise AssertionError("commuting pair with a witness that is not polynomial")
+    lam, mu = _normalize_pair(lam, -neg_mu)
     return PairStatus("dependent", lam, mu, verdict.witness)

@@ -132,11 +132,8 @@ def _cmd_pair_status(args):
     ps = calculus.pair_status(f, g, max_steps=args.max_steps)
     obj = {"status": ps.status}
     if ps.status == "dependent":
-        if ps.lam is not None:
-            obj["lambda"] = syntax.render(ps.lam)
-            obj["mu"] = syntax.render(ps.mu)
-        else:
-            obj["witness"] = [syntax.render(w) for w in ps.witness]
+        obj["lambda"] = syntax.render(ps.lam)
+        obj["mu"] = syntax.render(ps.mu)
     print(_dumps(obj))
     return 0
 

@@ -3,11 +3,12 @@
 A finite system s_1,...,s_k of enveloping-algebra elements is left
 dependent when some coefficients u_r in the enveloping algebra, not all
 zero, give sum(env_mul(u_r, s_r)) = 0.  The decision loop repeatedly
-cancels leading terms between comparable rows (composition) while
-tracking each row as an explicit combination of the original inputs, so
-every Dependent verdict carries a witness that is re-verified before it
-is returned.  Independence follows when the leading words become
-pairwise incomparable under right division.
+cancels leading terms between comparable rows (composition) and records
+each step as a ReductionRecord; the rows are plain elements, and the
+trace is the only record of the run.  When a row vanishes, the witness
+is the trace replayed on the unit combinations of the inputs, which is
+verified before it is returned.  Independence follows when the leading
+words become pairwise incomparable under right division.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 from . import freelie, poisson
 from .core import BudgetError, Record, accumulate, graded_lex_key
-from .env import Env, env_mul, ldc, ldm, word_right_divides
+from .env import Env, env_mul, ldm, word_right_divides
 from .linalg import Base, SparseSolver
 from .poisson import Poly
 
@@ -35,7 +36,8 @@ class ReductionRecord(NamedTuple):
 
 class DependencyVerdict(Record):
     """status is "dependent" (with a witness tuple) or "independent" (with
-    the final leading words); trace lists the ReductionRecords."""
+    the final leading words).  trace lists the ReductionRecords, the record
+    of the run; a witness is that trace replayed on the inputs."""
 
     __slots__ = ("status", "witness", "trace", "final_words")
 
@@ -67,15 +69,21 @@ def lambda_shift(lam, u):
     return lam**m * u + lam ** (m - 1 - m1) * v1
 
 
-def _composition_factors(u, v):
-    """(a, b, t) with a*u - b*h_t*v free of the leading term of u.
+def _step(u, wu, v, wv):
+    """Reduce u by v, whose leading words are wu = t + wv and wv.
 
-    ldm(v) right-divides ldm(u), say ldm(u) = t + ldm(v); with
-    r = p_gcd(ldc(u), ldc(v)), a = ldc(v)/r and b = ldc(u)/r.
+    With r = p_gcd(ldc(u), ldc(v)), a = ldc(v)/r and b = ldc(u)/r, returns
+    (a, b, t, a*u - b*h_t*v, the leading word of that row, or None when it
+    is zero); the leading term of u cancels, so that word is below wu.
     """
-    wu, wv = ldm(u), ldm(v)
-    r = poisson.p_gcd(ldc(u), ldc(v))
-    return poisson.divexact(ldc(v), r), poisson.divexact(ldc(u), r), wu[: len(wu) - len(wv)]
+    cu, cv = u.terms[wu], v.terms[wv]
+    r = poisson.p_gcd(cu, cv)
+    a, b, t = poisson.divexact(cv, r), poisson.divexact(cu, r), wu[: len(wu) - len(wv)]
+    out = a * u - b * env_mul(Env({t: Poly.one()}), v)
+    w = None if out.is_zero() else ldm(out)
+    if w is not None and graded_lex_key(w) >= graded_lex_key(wu):
+        raise AssertionError("reduction failed to lower the leading word")
+    return a, b, t, out, w
 
 
 def composition(u, v):
@@ -88,13 +96,10 @@ def composition(u, v):
     u, v = Env.zero() + u, Env.zero() + v
     if u.is_zero() or v.is_zero():
         raise ValueError("composition requires nonzero inputs")
-    if not word_right_divides(ldm(v), ldm(u)):
+    wu, wv = ldm(u), ldm(v)
+    if not word_right_divides(wv, wu):
         raise ValueError("ldm(v) does not right-divide ldm(u)")
-    a, b, t = _composition_factors(u, v)
-    out = a * u - b * env_mul(Env({t: Poly.one()}), v)
-    if not out.is_zero() and graded_lex_key(ldm(out)) >= graded_lex_key(ldm(u)):
-        raise AssertionError("composition failed to lower the leading word")
-    return out
+    return _step(u, wu, v, wv)[3]
 
 
 def verify_witness(witness, elements):
@@ -114,68 +119,65 @@ def _unit_witness(k, r):
     return tuple(Env.one() if t == r else Env.zero() for t in range(k))
 
 
+def _replay(trace, k):
+    """The combination of the k inputs that the row of the last step of
+    `trace` is: each step applied to the unit combinations, in order."""
+    combos = [_unit_witness(k, r) for r in range(k)]
+    for i, j, t, a, b in trace:
+        h_t = Env({t: Poly.one()})
+        combos[i] = tuple(a * ci - b * env_mul(h_t, cj) for ci, cj in zip(combos[i], combos[j]))
+    return combos[trace[-1].i]
+
+
 def decide_left_dependence(elements, max_steps=100_000):
     """Decide left dependence of a nonempty system, with certificate.
 
-    Dependent verdicts always carry a witness that has been verified
-    against the original inputs; Independent verdicts are returned only
-    after re-checking that the final leading words are pairwise
-    incomparable under right division.  Raises StepBudgetExceeded when
-    the reduction budget runs out.
+    Each step reduces the row with the least leading word that another
+    row's leading word right-divides (the first such i, then j) by that
+    row, as composition does, and appends its ReductionRecord to the
+    trace.  A step whose row vanishes ends in "dependent", with the
+    witness replayed from the trace and verified against the inputs; no
+    comparable pair of leading words ends in "independent", after the
+    final words are checked to be pairwise incomparable.  Raises
+    StepBudgetExceeded when the trace reaches max_steps steps and another
+    step is due.
     """
-    originals = [Env.zero() + s for s in elements]
-    if not originals:
+    rows = [Env.zero() + s for s in elements]
+    if not rows:
         raise ValueError("empty system")
-    k = len(originals)
-    for r, s in enumerate(originals):
+    k = len(rows)
+    for r, s in enumerate(rows):
         if s.is_zero():
             return DependencyVerdict("dependent", _unit_witness(k, r), [])
 
-    rows = [
-        (s, [Env.one() if t == r else Env.zero() for t in range(k)])
-        for r, s in enumerate(originals)
-    ]
-    trace = []
-    steps = 0
+    originals, words, trace = list(rows), [ldm(s) for s in rows], []
     while True:
-        best = None
-        for i in range(len(rows)):
-            wi = ldm(rows[i][0])
-            for j in range(len(rows)):
-                if i == j:
-                    continue
-                if word_right_divides(ldm(rows[j][0]), wi):
-                    key = (graded_lex_key(wi), i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
+        best = min(
+            (
+                (graded_lex_key(wi), i, j)
+                for i, wi in enumerate(words)
+                for j, wj in enumerate(words)
+                if i != j and word_right_divides(wj, wi)
+            ),
+            default=None,
+        )
         if best is None:
-            words = [ldm(s) for s, _ in rows]
             for a, b in itertools.combinations(words, 2):
                 if word_right_divides(a, b) or word_right_divides(b, a):
                     raise AssertionError("independent state has comparable words")
             return DependencyVerdict("independent", None, trace, tuple(words))
-
         _, i, j = best
-        steps += 1
-        if steps > max_steps:
+        if len(trace) >= max_steps:
             raise StepBudgetExceeded(f"no verdict within {max_steps} reductions")
-        si, ci = rows[i]
-        sj, cj = rows[j]
-        a, b, t = _composition_factors(si, sj)
-        t_env = Env({t: Poly.one()})
-        new_s = a * si - b * env_mul(t_env, sj)
-        new_c = [a * ci[r_] - b * env_mul(t_env, cj[r_]) for r_ in range(k)]
+        a, b, t, row, w = _step(rows[i], words[i], rows[j], words[j])
         trace.append(ReductionRecord(i, j, t, a, b))
-
-        if new_s.is_zero():
-            # a != 0 and P^e is a domain, so the combinations stay left independent: new_c is not all zero
-            witness = tuple(new_c)
+        if w is None:
+            # a != 0 and P^e is a domain, so the combinations stay left independent: the replay is not all zero
+            witness = _replay(trace, k)
             if not verify_witness(witness, originals):
                 raise AssertionError("reduction produced an invalid witness")
             return DependencyVerdict("dependent", witness, trace)
-        if graded_lex_key(ldm(new_s)) >= graded_lex_key(ldm(si)):
-            raise AssertionError("reduction failed to lower the leading word")
-        rows[i] = (new_s, new_c)
+        rows[i], words[i] = row, w
 
 
 BOX_BUDGET = 200_000  # unknowns of one bounded search

@@ -30,14 +30,13 @@ column, or the product of the step factors) is the same rational vector.
 A fresh column is one whose entries are all nonzero ints and whose lead
 row no pivot holds yet.  No step touches it, so the pair that elimination
 would store is the column itself with the combination {col_id: 1}, which
-is primitive.  `add` stores such a dict as it was handed in, and
-`add_shifted` stores it unbuilt, as ((base, off), col_id), which a
-reduction builds into the dict pair in place the first time it reads it
-as a pivot.  The bounded searches make almost only fresh columns:
-m * h_w * s leads at lead(h_w * s) + code(m), and two columns rarely
-share one.  Any other column is built (or copied) into a private dict and
-reduced.  The solver never changes a column it was handed, and the
-caller must not change one after handing it in.
+is primitive.  `add_shifted` stores it unbuilt, as ((base, off), col_id),
+which a reduction builds into the dict pair in place the first time it
+reads it as a pivot.  The bounded searches make almost only fresh
+columns: m * h_w * s leads at lead(h_w * s) + code(m), and two columns
+rarely share one.  Any other column, and every column given to `add`, is
+built into a private dict and reduced.  The solver never changes a column
+it was handed, and the caller must not change one after handing it in.
 """
 
 import math
@@ -131,14 +130,7 @@ class SparseSolver:
         otherwise returns {column id: Fraction} with
         sum(coeff * column) = 0, including this column with coefficient 1.
         """
-        vals = vec.values()
-        if not vec or 0 in vals or not set(map(type, vals)) <= {int}:
-            return self._insert(col_id, *_integral(vec))
-        k = max(vec)
-        if k in self.pivots:
-            return self._insert(col_id, dict(vec), 1)
-        self.pivots[k] = (vec, {col_id: 1})
-        return None
+        return self._insert(col_id, *_integral(vec))
 
     def add_shifted(self, base, offs, first):
         """Register the columns {row + off: c for row, c in base.entries}

@@ -20,7 +20,7 @@ from freepoisson.calculus import (
 from freepoisson.env import Env, env_mul, ham
 from freepoisson.linalg import SparseSolver
 from freepoisson.poisson import Poly, p_bracket
-from freepoisson.sampling import rand_env, rand_lie, rand_poly, rand_scalar, rand_tame_automorphism
+from freepoisson.sampling import rand_env, rand_lie, rand_poly, rand_poly_nonzero, rand_scalar, rand_tame_automorphism
 
 X1 = Poly.generator(1)
 X2 = Poly.generator(2)
@@ -439,3 +439,28 @@ def test_pair_status_on_lie_elements():
         else:
             assert p_bracket(f, g).is_zero()
             assert ps.witness is not None
+            assert ps.lam is not None and ps.lam * ham(f) == ps.mu * ham(g)
+
+
+def test_pair_status_witness_in_k_a_is_polynomial():
+    # Commuting f, g lie in one k[a], so ham(f) and ham(g) share the leading
+    # word of ham(a), and the first reduction leaves a witness of h-degree 0;
+    # a constant input gives a unit witness.
+    rng = random.Random(101)
+    constant = bracket_words = 0
+    for r in range(220):
+        n = rng.randint(1, 3)
+        a = rand_poly_nonzero(rng, n, rng.randint(1, 4), allow_constant=False)
+        c = [rand_scalar(rng) for _ in range(6)]
+        f = c[0] + c[1] * a + (c[2] * a * a if rng.random() < 0.5 else 0)
+        g = c[3] + c[4] * a + c[5] * a * a
+        if r % 10 == 0:
+            f, g = (Poly.constant(c[0]), g) if r % 20 else (f, Poly.constant(c[3]))
+        constant += f.is_constant() or g.is_constant()
+        bracket_words += any(len(w) > 1 for w in a.variables())
+        ps = pair_status(f, g)
+        assert ps.status == "dependent"
+        assert ps.lam is not None and ps.mu is not None
+        assert ps.lam * ham(f) == ps.mu * ham(g)
+        assert all(set(w.terms) <= {()} for w in ps.witness)
+    assert constant == 22 and bracket_words > 20

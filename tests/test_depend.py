@@ -103,21 +103,56 @@ def test_decide_known_systems():
 def test_decide_budget_exception():
     with pytest.raises(StepBudgetExceeded):
         decide_left_dependence([H1, Env({(1,): X1})], max_steps=0)
+    assert len(decide_left_dependence([H1, Env({(1,): X1})], max_steps=1).trace) == 1
 
 
-def test_decide_finds_planted_dependence():
+def planted_systems():
+    """Ten seeded systems [s1, s2, w1*s1 + w2*s2]."""
     rng = random.Random(37)
+    out = []
     for _ in range(10):
         n = rng.randint(1, 2)
         s1 = rand_env_nonzero(rng, n, 1, 1)
         s2 = rand_env_nonzero(rng, n, 1, 1)
         w1 = rand_env(rng, n, 1, 1)
         w2 = rand_env(rng, n, 1, 1)
-        s3 = env_mul(w1, s1) + env_mul(w2, s2)
-        sys = [s1, s2, s3]
+        out.append([s1, s2, env_mul(w1, s1) + env_mul(w2, s2)])
+    return out
+
+
+def test_decide_finds_planted_dependence():
+    for sys in planted_systems():
         r = decide_left_dependence(sys)
         assert r.status == "dependent"
         assert verify_witness(r.witness, sys)
+
+
+def replay_trace(elements, trace):
+    """The rows after applying composition(rows[i], rows[j]) for each
+    ReductionRecord of `trace`, from the inputs, and the row of the last
+    step; each record's word must be the quotient of the two leading words."""
+    rows, last = [Env.zero() + s for s in elements], None
+    for rec in trace:
+        wi, wj = ldm(rows[rec.i]), ldm(rows[rec.j])
+        assert rec.word + wj == wi
+        last = rows[rec.i] = composition(rows[rec.i], rows[rec.j])
+    return rows, last
+
+
+def test_trace_is_a_complete_record():
+    systems = [elements for _, elements, _ in load_corpus()] + planted_systems()
+    seen = set()
+    for sys in systems:
+        r = decide_left_dependence(sys)
+        rows, last = replay_trace(sys, r.trace)
+        seen.add(r.status)
+        if r.status == "dependent" and not r.trace:
+            assert any(u.is_zero() for u in rows)  # the unit witness of a zero input
+        elif r.status == "dependent":
+            assert last.is_zero()
+        else:
+            assert tuple(ldm(u) for u in rows) == r.final_words
+    assert seen == {"dependent", "independent"}
 
 
 def test_decide_independent_verdicts_are_incomparable():
