@@ -79,17 +79,19 @@ def fox(p, i):
     """Coefficient of h(x_i) in the canonical decomposition of ham(p)."""
     if i < 1:
         raise ValueError("variable index must be >= 1")
-    out = {}
-    for w, q in ham(p).terms.items():
-        if w and w[-1] == i:
-            out[w[:-1]] = q
-    return Env(out)
+    return _fox(ham(p), i)
+
+
+def _fox(h, i):
+    """Coefficient of h(x_i) in h, a Hamiltonian in canonical form."""
+    return Env({w[:-1]: q for w, q in h.terms.items() if w and w[-1] == i})
 
 
 def jacobian(psi):
-    """Matrix with entry (i, j) = fox of the i-th image by x_j."""
+    """Matrix with entry (i, j) = fox of the i-th image by x_j, each row
+    read off one ham of its image."""
     return EnvMatrix(
-        [[fox(img, j) for j in range(1, psi.n + 1)] for img in psi.images]
+        [[_fox(h, j) for j in range(1, psi.n + 1)] for h in map(ham, psi.images)]
     )
 
 

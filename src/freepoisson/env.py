@@ -68,14 +68,6 @@ class Env(Terms):
         rest = Env._make({w: q for w, q in self.terms.items() if w})
         return p, rest
 
-    def last_letter_parts(self):
-        """Group terms by the last letter of the h-word (0 for the empty word)."""
-        out = {}
-        for w, p in self.terms.items():
-            k = w[-1] if w else 0
-            out.setdefault(k, {})[w] = p
-        return {k: Env._make(t) for k, t in out.items()}
-
     def __repr__(self):
         if not self.terms:
             return "Env(0)"

@@ -19,10 +19,16 @@ against X_i with lam = -1; moyal has two, x_i against y_i with lam = 1/2
 and y_i against x_i with lam = -1/2; pn_env_mul has two on the vectors
 (coefficient exponents, h-index), h_{x_i} against y_i with lam = 1 and
 h_{y_i} against x_i with lam = -1, so P_n^e multiplies as the Weyl
-algebra A_2n.  The theta maps are closed forms with no product at all.
-A product code is decoded once, each distinct half of it once per call,
-straight into the keys the caller returns, with one Fraction per output
-key.
+algebra A_2n.  A product code is decoded once, each distinct half of it
+once per call, straight into the keys the caller returns, with one
+Fraction per output key.
+
+The maps between the algebras take no product.  Symmetrization W is
+exp(-D/2), D = sum_i d/dx_i d/dy_i, on normal-order exponents, so its
+inverse is exp(D/2): one normal-ordering table, _normal_order, serves
+both.  The quantization map rho = theta_left . W is a closed form, and
+the theta maps are theta_left = rho . W^-1 and theta_right = rho_- . W^-1,
+rho_- being rho with the weight (-1/2)^|gamma| in place of 2^-|gamma|.
 """
 
 import itertools
@@ -36,6 +42,16 @@ from .core import SCALARS, Terms, accumulate
 
 def _zero_mi(n2):
     return (0,) * n2
+
+
+def _unit(size, i, n, shift, message):
+    """The length-size 0/1 tuple with its 1 at place shift + i - 1, for
+    1 <= i <= n; ValueError(message) otherwise."""
+    if not 1 <= i <= n:
+        raise ValueError(message)
+    e = [0] * size
+    e[shift + i - 1] = 1
+    return tuple(e)
 
 
 class SPoly(Terms):
@@ -60,19 +76,11 @@ class SPoly(Terms):
 
     @staticmethod
     def x(n, i):
-        if not 1 <= i <= n:
-            raise ValueError("x index out of range")
-        e = [0] * (2 * n)
-        e[i - 1] = 1
-        return SPoly(n, {tuple(e): 1})
+        return SPoly(n, {_unit(2 * n, i, n, 0, "x index out of range"): 1})
 
     @staticmethod
     def y(n, i):
-        if not 1 <= i <= n:
-            raise ValueError("y index out of range")
-        e = [0] * (2 * n)
-        e[n + i - 1] = 1
-        return SPoly(n, {tuple(e): 1})
+        return SPoly(n, {_unit(2 * n, i, n, n, "y index out of range"): 1})
 
     def _key(self, e):
         if len(e) != 2 * self.n:
@@ -160,19 +168,11 @@ class Weyl(Terms):
 
     @staticmethod
     def X(n, i):
-        if not 1 <= i <= n:
-            raise ValueError("X index out of range")
-        a = [0] * n
-        a[i - 1] = 1
-        return Weyl(n, {(tuple(a), (0,) * n): 1})
+        return Weyl(n, {(_unit(n, i, n, 0, "X index out of range"), (0,) * n): 1})
 
     @staticmethod
     def Y(n, i):
-        if not 1 <= i <= n:
-            raise ValueError("Y index out of range")
-        b = [0] * n
-        b[i - 1] = 1
-        return Weyl(n, {((0,) * n, tuple(b)): 1})
+        return Weyl(n, {((0,) * n, _unit(n, i, n, 0, "Y index out of range")): 1})
 
     def _key(self, k):
         a, b = k
@@ -279,21 +279,21 @@ def weyl_mul(u, v):
     return Weyl._make({(a, b): x for b, row in rows.items() for a, x in row.items()}, n)
 
 
-def symmetrize(f):
-    """Symmetrization P_n -> A_n (the average of all letter orderings of
-    each monomial) in normal order, by the closed form
-    W(x^a y^b) = prod_i sum_k (-1/2)^k k! C(a_i,k) C(b_i,k) X_i^(a_i-k) Y_i^(b_i-k).
-    """
-    n = f.n
-    out = {}
-    for e, c in f.terms.items():
-        per_index = [
-            [
-                (a - k, b - k, Fraction(-1, 2) ** k * math.factorial(k) * math.comb(a, k) * math.comb(b, k))
-                for k in range(min(a, b) + 1)
-            ]
-            for a, b in zip(e[:n], e[n:])
-        ]
+def _normal_order(terms, lam):
+    """{(a', b'): c'}: the sum over the pairs ((a, b), c) of c times
+    prod_i sum_k lam^k k! C(a_i,k) C(b_i,k) x_i^(a_i-k) y_i^(b_i-k),
+    that is exp(lam sum_i d/dx_i d/dy_i) applied to c x^a y^b.  The sum of
+    each (a_i, b_i) is tabulated once per call."""
+    tables, out = {}, {}
+    for (al, be), c in terms:
+        per_index = []
+        for p, q in zip(al, be):
+            table = tables.get((p, q))
+            if table is None:
+                table = tables[(p, q)] = [
+                    (p - k, q - k, lam**k * math.factorial(k) * math.comb(p, k) * math.comb(q, k)) for k in range(min(p, q) + 1)
+                ]
+            per_index.append(table)
         accumulate(
             out,
             (
@@ -301,7 +301,22 @@ def symmetrize(f):
                 for choice in itertools.product(*per_index)
             ),
         )
-    return Weyl._make(out, n)
+    return out
+
+
+def symmetrize(f):
+    """Symmetrization W: P_n -> A_n (the average of all letter orderings of
+    each monomial) in normal order, by the closed form
+    W(x^a y^b) = prod_i sum_k (-1/2)^k k! C(a_i,k) C(b_i,k) X_i^(a_i-k) Y_i^(b_i-k).
+    """
+    n = f.n
+    return Weyl._make(_normal_order((((e[:n], e[n:]), c) for e, c in f.terms.items()), Fraction(-1, 2)), n)
+
+
+def _unsymmetrize(a):
+    """W^-1: A_n -> P_n, the inverse of symmetrize: the same closed form
+    with lam = 1/2, since exp(D/2) undoes exp(-D/2)."""
+    return SPoly._make({al + be: c for (al, be), c in _normal_order(a.terms.items(), Fraction(1, 2)).items()}, a.n)
 
 
 class PnEnv(Terms):
@@ -330,19 +345,11 @@ class PnEnv(Terms):
 
     @staticmethod
     def h_x(n, i):
-        if not 1 <= i <= n:
-            raise ValueError("index out of range")
-        g = [0] * (2 * n)
-        g[i - 1] = 1
-        return PnEnv(n, {tuple(g): SPoly.one(n)})
+        return PnEnv(n, {_unit(2 * n, i, n, 0, "index out of range"): SPoly.one(n)})
 
     @staticmethod
     def h_y(n, i):
-        if not 1 <= i <= n:
-            raise ValueError("index out of range")
-        g = [0] * (2 * n)
-        g[n + i - 1] = 1
-        return PnEnv(n, {tuple(g): SPoly.one(n)})
+        return PnEnv(n, {_unit(2 * n, i, n, n, "index out of range"): SPoly.one(n)})
 
     def _key(self, g):
         if len(g) != 2 * self.n:
@@ -371,11 +378,6 @@ class PnEnv(Terms):
         return f"PnEnv({self.n}, {self.terms!r})"
 
 
-def _pn_env(radix, den, acc, n):
-    """The element of P_n^e with x/den at each code of acc over (e, g)."""
-    return PnEnv._make({g: SPoly._make(t, n) for g, t in _decode(radix, den, acc, 2 * n).items()}, n)
-
-
 def pn_env_mul(u, v):
     """Product in the symplectic enveloping algebra, canonical form: the
     kernel on the vectors (e, g) of the terms, with h_{x_i} of u against
@@ -385,78 +387,44 @@ def pn_env_mul(u, v):
     n = u.n
     flat = [[(e + g, c) for g, p in w.terms.items() for e, c in p.terms.items()] for w in (u, v)]
     channels = [(2 * n + i, n + i, 1) for i in range(n)] + [(3 * n + i, i, -1) for i in range(n)]
-    return _pn_env(*_contract(*flat, channels), n)
+    rows = _decode(*_contract(*flat, channels), 2 * n)
+    return PnEnv._make({g: SPoly._make(t, n) for g, t in rows.items()}, n)
 
 
 def pn_commutator(a, b):
     return pn_env_mul(a, b) - pn_env_mul(b, a)
 
 
-def _theta_factor(p, q, sign):
-    """Terms ((x, y, h_x, h_y), w) of the image of X^p Y^q in one variable,
-    w an integer over 2^(p+q).  For sign 1 the image is
-    (x + h_x/2)^p (y + h_y/2)^q: each half is in normal order by the
-    binomial theorem, as x commutes with h_x and y with h_y, and h_x^g
-    passes y^m by h_x^g y^m = sum_k k! C(g,k) C(m,k) y^(m-k) h_x^(g-k).
-    For sign -1 it is (y - h_y/2)^q (x - h_x/2)^p, where h_y^d passes x^m
-    with a sign (-1)^k: the terms of sign 1 with x and y swapped, times -1
-    to the h-degree."""
-    if sign < 0:
-        return [((b, a, hb, ha), -w if (ha + hb) % 2 else w) for (a, b, ha, hb), w in _theta_factor(q, p, 1)]
-    out = []
-    for g, d in itertools.product(range(p + 1), range(q + 1)):
-        base, m = math.comb(p, g) * math.comb(q, d) << (p + q - g - d), q - d
-        out += [((p - g, m - k, g - k, d), base * math.factorial(k) * math.comb(g, k) * math.comb(m, k)) for k in range(min(g, m) + 1)]
-    return out
-
-
-def _theta(a, sign):
-    """Image of a under X_i -> x_i + sign*h_{x_i}/2, Y_i -> y_i + sign*h_{y_i}/2,
-    each normal-order monomial taken in its own order for sign 1 and in
-    reverse for sign -1.  The variables do not interact, so the image of a
-    monomial is the product over i of the _theta_factor terms of
-    (alpha_i, beta_i), which distinct choices send to distinct keys.  The
-    terms are summed as codes of (e, g) with integer numerators over
-    lcm(denominators) << (largest degree)."""
-    n = a.n
-    terms = a.terms.items()
-    den = math.lcm(*(c.denominator for _, c in terms))
-    top = max((sum(al) + sum(be) for (al, be), _ in terms), default=0)
-    radix = 1 + max((max(al + be) for (al, be), _ in terms), default=0)
-    place = [radix**t for t in range(4 * n)]
-    tables, acc = {}, {}
-    for (al, be), c in terms:
-        items = [(0, c.numerator * (den // c.denominator) << (top - sum(al) - sum(be)))]
-        for i, key in enumerate(zip(al, be)):
-            table = tables.get((i, key))
-            if table is None:
-                table = tables[(i, key)] = [(sum(map(mul, t, place[i::n])), w) for t, w in _theta_factor(*key, sign)]
-            items = [(z + s, x * w) for z, x in items for s, w in table]
-        accumulate(acc, items)
-    return _pn_env(radix, den << top, acc, n)
-
-
-def theta_left(a):
-    """Homomorphism X_i -> x_i + h_{x_i}/2, Y_i -> y_i + h_{y_i}/2."""
-    return _theta(a, 1)
-
-
-def theta_right(a):
-    """Anti-homomorphism X_i -> x_i - h_{x_i}/2, Y_i -> y_i - h_{y_i}/2:
-    each normal-order monomial has its factor order reversed."""
-    return _theta(a, -1)
-
-
-def rho_w(f):
-    """Closed form of theta_left(symmetrize(f)): the term c x^e gives
-    sum over gamma <= e of c prod_i C(e_i, gamma_i) 2^-|gamma| x^(e-gamma) h^gamma.
+def _rho(f, sign):
+    """rho_sign(f): the term c x^e gives sum over gamma <= e of
+    c prod_i C(e_i, gamma_i) (sign/2)^|gamma| x^(e-gamma) h^gamma.
     Distinct (e, gamma) give distinct keys, so each term is built once."""
     out = {}
     for e, c in f.terms.items():
         for gamma in itertools.product(*(range(k + 1) for k in e)):
-            w = c.numerator * math.prod(map(math.comb, e, gamma))
-            out.setdefault(gamma, {})[tuple(map(sub, e, gamma))] = Fraction(w, c.denominator << sum(gamma))
+            w, d = c.numerator * math.prod(map(math.comb, e, gamma)), sum(gamma)
+            out.setdefault(gamma, {})[tuple(map(sub, e, gamma))] = Fraction(-w if sign < 0 and d % 2 else w, c.denominator << d)
     return PnEnv._make({g: SPoly._make(t, f.n) for g, t in out.items()}, f.n)
+
+
+def rho_w(f):
+    """The quantization map rho = theta_left . W: P_n -> P_n^e, in closed
+    form, rho(c x^e) = sum over gamma <= e of c prod_i C(e_i, gamma_i)
+    2^-|gamma| x^(e-gamma) h^gamma."""
+    return _rho(f, 1)
+
+
+def theta_left(a):
+    """Homomorphism X_i -> x_i + h_{x_i}/2, Y_i -> y_i + h_{y_i}/2: rho
+    after W^-1, since it agrees with rho_w on symmetrized elements."""
+    return _rho(_unsymmetrize(a), 1)
+
+
+def theta_right(a):
+    """Anti-homomorphism X_i -> x_i - h_{x_i}/2, Y_i -> y_i - h_{y_i}/2
+    (each normal-order monomial has its factor order reversed): rho_- after
+    W^-1, rho_- being rho with the weight (-1/2)^|gamma|."""
+    return _rho(_unsymmetrize(a), -1)
 
 
 def moyal(f, g):

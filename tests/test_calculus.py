@@ -103,6 +103,7 @@ def test_jacobian_chain_rule():
             [[env_apply(psi, e) for e in row] for row in jacobian(phi).entries]
         )
         assert jacobian(comp) == mat_mul(mapped, jacobian(psi))
+        assert jacobian(comp).entries == [[fox(img, j) for j in (1, 2)] for img in comp.images]
 
 
 def test_env_apply_is_multiplicative():

@@ -151,19 +151,3 @@ def test_word_right_divides():
     assert not word_right_divides((1, 2), (2,))
     assert not word_right_divides((1, 2), (1,))
     assert not word_right_divides((1,), (1, 2))
-
-
-def test_last_letter_parts():
-    u = ham(X1 * X2) + Env.from_poly(X1)
-    parts = u.last_letter_parts()
-    assert set(parts) == {0, 1, 2}
-    assert parts[0] == Env.from_poly(X1)
-    assert parts[1] == Env({(1,): X2})
-    assert parts[2] == Env({(2,): X1})
-    rng = random.Random(59)
-    for _ in range(40):
-        v = rand_env(rng, 2, 2, 2)
-        acc = Env.zero()
-        for part in v.last_letter_parts().values():
-            acc = acc + part
-        assert acc == v

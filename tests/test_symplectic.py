@@ -2,8 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from freepoisson.checks import moyal_by_derivatives, rho_w_by_derivatives, symmetrize_by_permutations, theta_by_letters
 from freepoisson.symplectic import (
+    _unsymmetrize,
     PnEnv,
     SPoly,
     Weyl,
@@ -50,6 +53,18 @@ def test_sp_bracket_canonical_relations():
                 assert sp_bracket(xi, yj) == expected
                 assert sp_bracket(SPoly.x(n, i), SPoly.x(n, j)) == 0
                 assert sp_bracket(SPoly.y(n, i), SPoly.y(n, j)) == 0
+
+
+def test_generators_are_unit_vectors_and_check_their_index():
+    n = 2
+    assert SPoly.y(n, 2) == SPoly(n, {(0, 0, 0, 1): 1})
+    assert Weyl.X(n, 2) == Weyl(n, {((0, 1), (0, 0)): 1})
+    assert PnEnv.h_y(n, 1) == PnEnv(n, {(0, 0, 1, 0): SPoly.one(n)})
+    makers = [(SPoly.x, "x index"), (SPoly.y, "y index"), (Weyl.X, "X index"), (Weyl.Y, "Y index"), (PnEnv.h_x, "index"), (PnEnv.h_y, "index")]
+    for make, what in makers:
+        for i in (0, n + 1):
+            with pytest.raises(ValueError, match=f"^{what} out of range$"):
+                make(n, i)
 
 
 def test_sp_bracket_axioms_random():
@@ -237,13 +252,20 @@ def test_theta_images_commute():
 
 def test_theta_maps_match_the_letter_by_letter_products():
     # zero, a constant, distinct denominators, and X1*Y1 - 1/2, whose
-    # images lose their constant term to cancellation between monomials
+    # images lose their constant term to cancellation between monomials;
+    # then the symmetrized _sp_cases, on which W^-1 must undo symmetrize
     cancels = Weyl(2, {((1, 0), (1, 0)): 1, ((0, 0), (0, 0)): Fraction(-1, 2)})
     cases = [Weyl.zero(1), Weyl.zero(2), Fraction(-3, 4) * Weyl.one(2), cancels]
     cases.append(Weyl(2, {((2, 1), (0, 3)): Fraction(1, 3), ((0, 2), (1, 0)): Fraction(5, 7), ((1, 1), (1, 1)): Fraction(-2, 9)}))
     rng = random.Random(53)
     cases += [rand_weyl(rng, rng.randint(1, 2), 3, terms=rng.randint(1, 4)) for _ in range(40)]
+    polys = [h for pair in _sp_cases(random.Random(59)) for h in pair]
+    for h in polys:
+        assert _unsymmetrize(symmetrize(h)) == h, h
+    cases += [symmetrize(h) for h in polys]
     for a in cases:
+        back = _unsymmetrize(a)
+        assert symmetrize(back) == a == symmetrize_by_permutations(back), a.terms
         for sign, theta in ((1, theta_left), (-1, theta_right)):
             img = theta(a)
             assert img == theta_by_letters(a, sign), (a.terms, sign)

@@ -94,7 +94,7 @@ def main(argv):
     ap.add_argument("tree", help="a checkout of the repository")
     ap.add_argument("seeds", nargs="*", type=int, default=[1, 2, 3])
     ap.add_argument("--against", metavar="OTHER", help="a second checkout to time TREE's round in")
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)  # seeds may follow --against OTHER
     tree = os.path.abspath(args.tree)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
