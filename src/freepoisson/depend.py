@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import freelie, poisson
 from .core import BudgetError, Record, accumulate, graded_lex_key
-from .env import Env, env_mul, ldm, word_right_divides
+from .env import Env, _Derivation, env_mul, ldm, word_right_divides
 from .linalg import Base, SparseSolver
 from .poisson import Poly
 
@@ -207,57 +207,6 @@ def monomials_up_to(n, max_deg):
     return [m for _, m in sorted(out)]
 
 
-class _Derivation:
-    """h_w * u by the derivation rule, on the monomials of one search
-    interned as ints.
-
-    Since {x_a, .} is a derivation, h_a * (p h_v) = p h_(a,v) + {x_a, p} h_v,
-    and {x_a, p} is the sum of c * {x_a, m} over the terms c*m of p.  Every
-    monomial met, in an input or in a bracket, gets the next int id
-    (`monos` lists them by id), and each {x_a, m} is bracketed once.  So
-    both tables hold one entry per monomial, and per (letter, monomial)
-    pair, of the search that owns them.  Coefficients are ints where
-    integral.
-    """
-
-    def __init__(self):
-        self.monos, self._ids, self._brackets = [], {}, {}
-
-    def _intern(self, p):
-        for m in p.terms:
-            if m not in self._ids:
-                self._ids[m] = len(self.monos)
-                self.monos.append(m)
-        return {self._ids[m]: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
-
-    def products(self, u, words):
-        """{w: {v: {id: c}}}, h_w * u = sum of c * monos[id] * h_v, for w in
-        `words`, shortest first as words_up_to lists them, each made as
-        h_(w[0]) * (h_(w[1:]) * u)."""
-        brackets = self._brackets
-        done = {(): {v: self._intern(p) for v, p in u.terms.items()}}
-        for w in filter(None, words):
-            a, out = w[0], {}
-            for v, p in done[w[1:]].items():
-                accumulate(out.setdefault((a,) + v, {}), p.items())
-                bracket = out.setdefault(v, {})
-                for i, c in p.items():
-                    if (a, i) not in brackets:
-                        br = poisson.p_bracket(Poly.generator(a), Poly._make({self.monos[i]: 1}))
-                        brackets[a, i] = list(self._intern(br).items())
-                    accumulate(bracket, brackets[a, i], c)
-            done[w] = {v: p for v, p in out.items() if p}
-        return {w: done[w] for w in words}
-
-
-def h_word_products(u, words):
-    """{w: h_w * u} for w in `words`, shortest first as words_up_to lists
-    them, made by the _Derivation of the bounded searches."""
-    derivation = _Derivation()
-    done, monos = derivation.products(u, words), derivation.monos
-    return {w: Env._make({v: Poly({monos[i]: c for i, c in p.items()}) for v, p in terms.items()}) for w, terms in done.items()}
-
-
 def box_size(n, max_len, max_deg, cap):
     """len(words_up_to(n, max_len)) * len(monomials_up_to(n, max_deg)) in
     closed form, or cap + 1 when that is larger than cap.
@@ -301,8 +250,9 @@ class ColumnBuilder:
     for w in `words` and m in `monos`, is m * (h_w * rows[i][k]) at the rows
     of prefix k < K; its id is (i * len(words) + index of w) * len(monos) +
     index of m, which `decode` reads back by divmod.  The bases
-    h_w * rows[i][k] are derived with one _Derivation, so their monomials
-    are interned, and each interned monomial is coded once.
+    h_w * rows[i][k] are derived with one env._Derivation, the kernel of
+    env_mul, which lives as long as the builder's set-up; so their
+    monomials are interned, and each interned monomial is coded once.
 
     A row is one int whose mixed-radix digits are, most significant first:
     the prefix; the length and the letters of the h-word, padded with 0 on

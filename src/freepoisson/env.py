@@ -7,9 +7,13 @@ tuple of generator indices.  The defining relations are
 
     h(x_i) * q = q * h(x_i) + {x_i, q}          for q polynomial,
 
-so multiplication pushes h-letters to the right past coefficients; each
-bracket term shortens the pending h-word, which makes the rewriting
-terminate.
+and since {x_i, .} is a derivation they give the derivation rule
+
+    h_a * (p h_v) = p h_(a,v) + {x_a, p} h_v,
+
+which `_Derivation` applies, one letter of h_w at a time from the last,
+to make h_w * u in canonical form.  It is the only statement of the
+relation: env_mul and the bounded searches of `depend` both call it.
 """
 
 from . import freelie, poisson
@@ -78,39 +82,71 @@ class Env(Terms):
         return "Env(" + " + ".join(bits) + ")"
 
 
-def _word_past(w, q):
-    """h_w * q as a dict word -> Poly, pushing h-letters right past q.
+class _Derivation:
+    """h_w * u by the derivation rule, on the monomials of one call
+    interned as ints: the one statement of the defining relation.
 
-    The letters of w move right one at a time, the last first, by
-    h_j * r = r * h_j + {x_j, r}.  A (suffix, r) path ends as soon as r
-    is constant, and the paths are summed by suffix only at the end, so
-    every bracket is taken on the same r as in a recursive rewriting.
-    The loop has no recursion depth to run out of.
+    Since {x_a, .} is a derivation, h_a * (p h_v) = p h_(a,v) + {x_a, p} h_v,
+    and {x_a, p} is the sum of c * {x_a, m} over the terms c*m of p.  Every
+    monomial met, in an input or in a bracket, gets the next int id
+    (`monos` lists them by id), and each {x_a, m} is bracketed once.  So
+    both tables hold one entry per monomial, and per (letter, monomial)
+    pair, of the call that owns them: one env_mul, or the set-up of one
+    bounded search (depend.ColumnBuilder).  Coefficients are ints where
+    integral.
     """
-    if q.is_zero():
-        return {}
-    if not w or q.is_constant():
-        return {w: q}
-    done, paths = [], [((), q)]
-    for i in range(len(w) - 1, -1, -1):
-        step = []
-        for s, r in paths:
-            if r.is_constant():
-                done.append((w[: i + 1] + s, r))
-                continue
-            step.append(((w[i],) + s, r))
-            br = poisson.p_bracket(Poly.generator(w[i]), r)
-            if br:
-                step.append((s, br))
-        paths = step
-    return accumulate({}, done + paths)
+
+    def __init__(self):
+        self.monos, self._ids, self._brackets = [], {}, {}
+
+    def _intern(self, p):
+        for m in p.terms:
+            if m not in self._ids:
+                self._ids[m] = len(self.monos)
+                self.monos.append(m)
+        return {self._ids[m]: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
+
+    def products(self, u, words):
+        """{w: {v: {id: c}}}, h_w * u = sum of c * monos[id] * h_v, for w in
+        `words`, each made as h_(w[0]) * (h_(w[1:]) * u), so each w must
+        come after w[1:] (as in any shortest-first order)."""
+        brackets = self._brackets
+        done = {(): {v: self._intern(p) for v, p in u.terms.items()}}
+        for w in filter(None, words):
+            a, out = w[0], {}
+            for v, p in done[w[1:]].items():
+                accumulate(out.setdefault((a,) + v, {}), p.items())
+                bracket = out.setdefault(v, {})
+                for i, c in p.items():
+                    if (a, i) not in brackets:
+                        br = poisson.p_bracket(Poly.generator(a), Poly._make({self.monos[i]: 1}))
+                        brackets[a, i] = list(self._intern(br).items())
+                    accumulate(bracket, brackets[a, i], c)
+            done[w] = {v: p for v, p in out.items() if p}
+        return {w: done[w] for w in words}
 
 
 def env_mul(a, b):
-    """Product in the enveloping algebra, result in canonical form."""
-    b = b.terms.items()
-    products = ((u + v, p * r) for w, p in a.terms.items() for v, q in b for u, r in _word_past(w, q).items())
-    return Env._make(accumulate({}, products))
+    """Product in the enveloping algebra, result in canonical form: the sum,
+    over the terms p*h_w of a, of p*(h_w*b).  One _Derivation makes h_w*b
+    for every suffix of a word of a.  A polynomial a only multiplies the
+    coefficients of b, and a term c*h_v of b with c constant brackets to
+    nothing: h_w*(c*h_v) = c*h_(w+v), in time linear in the word."""
+    if a.terms.keys() == {()}:
+        p = a.terms[()]
+        return Env._make({v: p * q for v, q in b.terms.items()})
+    const = {v: q for v, q in b.terms.items() if q.is_constant()}
+    rest = Env._make({v: q for v, q in b.terms.items() if v not in const})
+    out = {}
+    for w, p in a.terms.items():
+        accumulate(out, ((w + v, p * q) for v, q in const.items()))
+    if rest:
+        derivation = _Derivation()
+        words = sorted({w[i:] for w in a.terms for i in range(len(w) + 1)}, key=graded_lex_key)
+        done, monos = derivation.products(rest, words), derivation.monos
+        for w, p in a.terms.items():
+            accumulate(out, ((v, p * Poly({monos[i]: c for i, c in q.items()})) for v, q in done[w].items()))
+    return Env._make(out)
 
 
 def commutator(a, b):

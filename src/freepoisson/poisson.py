@@ -148,7 +148,8 @@ def p_mul(a, b):
 
 
 def p_bracket(a, b):
-    """Poisson bracket, extended from the Lie bracket by the Leibniz rule."""
+    """Poisson bracket, extended from the Lie bracket by the Leibniz rule:
+    the bracket of two factors is read off the basis rewriting table."""
     out = {}
     right = [(c2, partials(m2)) for m2, c2 in b.terms.items()]
     for m1, c1 in a.terms.items():
@@ -157,11 +158,10 @@ def p_bracket(a, b):
             c = c1 * c2
             for w1, e1, cof1 in left:
                 for w2, e2, cof2 in parts:
-                    base = freelie.lie_bracket(freelie.Lie({w1: 1}), freelie.Lie({w2: 1}))
-                    if base.is_zero():
-                        continue
-                    cof = Poly._make({mono_mul(cof1, cof2): c * e1 * e2})
-                    accumulate(out, (cof * Poly.from_lie(base)).terms.items())
+                    base = freelie._basis_bracket(w1, w2)
+                    if base:
+                        cof, s = mono_mul(cof1, cof2), c * e1 * e2
+                        accumulate(out, ((mono_mul(cof, ((w, 1),)), s * k) for w, k in base.items()))
     return Poly._make(out)
 
 

@@ -199,7 +199,7 @@ def two_sided_search(J, hb, cb, n_vars):
     n = J.n
     words = depend.words_up_to(n_vars, hb)
     monos = depend.monomials_up_to(n_vars, cb)
-    left = [[depend.h_word_products(u, words) for u in row] for row in J.entries]
+    left = [[{w: env_mul(Env({w: Poly.one()}), u) for w in words} for u in row] for row in J.entries]
     right = {
         (i, a, m): env_mul(J.entries[i][a], Env.from_poly(Poly({m: 1})))
         for i in range(n)

@@ -12,18 +12,19 @@ from freepoisson.depend import (
     composition,
     decide_left_dependence,
     denominator_lcm,
-    h_word_products,
     lambda_shift,
     load_corpus,
     monomials_up_to,
     verify_witness,
     words_up_to,
 )
-from freepoisson.env import Env, env_mul, hdeg, ldm
+from freepoisson.env import Env, _Derivation, env_mul, hdeg, ldm
 from freepoisson.linalg import Base, SparseSolver
 from freepoisson.freelie import Lie, lyndon_words
 from freepoisson.poisson import Poly, mono_deg
 from freepoisson.sampling import rand_env, rand_env_nonzero, rand_poly_nonzero, rand_scalar
+
+from test_env import env_mul_by_letters
 
 X1 = Poly.generator(1)
 X2 = Poly.generator(2)
@@ -220,7 +221,8 @@ def test_brute_force_dependence():
 
 
 def test_h_word_products_match_products_by_generators():
-    # the reference multiplies by one generator at a time through env_mul
+    # the kernel of env_mul and the bounded searches against the reference
+    # that multiplies by one generator at a time, pushing it letter by letter
     rng = random.Random(29)
     checked = 0
     for n, hb in ((1, 4), (2, 3), (3, 2)):
@@ -229,11 +231,12 @@ def test_h_word_products_match_products_by_generators():
         elements += [rand_env_nonzero(rng, n, 2, 3, terms=rng.randint(1, 4)) for _ in range(12)]
         assert any(c.denominator > 1 for s in elements for p in s.terms.values() for c in p.terms.values())
         for s in elements:
-            got = h_word_products(s, words)
+            derivation = _Derivation()
+            got, monos = derivation.products(s, words), derivation.monos
             want = {}
             for w in words:
-                want[w] = env_mul(Env.h_generator(w[0]), want[w[1:]]) if w else s
-                assert got[w] == want[w], (s, w)
+                want[w] = env_mul_by_letters(Env.h_generator(w[0]), want[w[1:]]) if w else s
+                assert Env({v: Poly({monos[i]: c for i, c in p.items()}) for v, p in got[w].items()}) == want[w], (s, w)
                 checked += not want[w].is_zero()
             assert list(got) == words
     assert checked > 300

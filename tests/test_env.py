@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,41 @@ def test_env_mul_pushes_words_past_coefficients():
     assert got == Env({(1,): X2, (): E12})
     # h(x1) * x1 = x1*h(x1): bracket term vanishes
     assert env_mul(H1, Env.from_poly(X1)) == Env({(1,): X1})
+
+
+def env_mul_by_letters(a, b):
+    """The reference product, independent of the derivation kernel: for
+    each term p*h_w of a, the letters of w are pushed into b one at a time,
+    the last first, by h_i*(q*h_v) = q*h_(i,v) + {x_i, q}*h_v with a
+    whole-polynomial p_bracket, and p multiplies the coefficients."""
+    out = Env.zero()
+    for w, p in a.terms.items():
+        u = b
+        for i in reversed(w):
+            u = sum((Env({(i,) + v: q, v: p_bracket(Poly.generator(i), q)}) for v, q in u.terms.items()), Env.zero())
+        out = out + Env({v: p * q for v, q in u.terms.items()})
+    return out
+
+
+def test_env_mul_matches_the_product_by_letters():
+    rng = random.Random(31)
+    checked = 0
+    for n in (1, 2, 3):
+        # zero, constants, polynomials, and constant and polynomial
+        # coefficients on one element, then seeded elements
+        factors = [Env.zero(), Env.one(), Env.from_poly(Poly.constant(Fraction(-7, 3)))]
+        factors += [Env.from_poly(rand_poly(rng, n, 2, terms=2)) for _ in range(2)]
+        factors += [Env({tuple(range(n, 0, -1)): Poly.constant(Fraction(5, 2)), (1,): Poly.generator(n)})]
+        factors += [rand_env_nonzero(rng, n, 4, 2, terms=rng.randint(1, 3)) for _ in range(8)]
+        assert any(c.denominator > 1 for u in factors for p in u.terms.values() for c in p.terms.values())
+        assert max(map(hdeg, factors)) == 4
+        pairs = [(a, b) for a in factors[:6] for b in factors] + [(a, b) for a in factors for b in factors[:6]]
+        pairs += [tuple(rng.sample(factors[6:], 2)) for _ in range(12)]
+        for a, b in pairs:
+            got = env_mul(a, b)
+            assert got == env_mul_by_letters(a, b), (a, b)
+            checked += hdeg(a) > 0 and hdeg(got) >= 0
+    assert checked > 40
 
 
 def test_env_ring_axioms_random():
