@@ -6,7 +6,12 @@ pass/fail line per suite.  Failure messages carry the suite's own
 detail string, including the first failing case.
 """
 
+import contextlib
+import io
+
+from freepoisson import checks, cli
 from freepoisson.checks import run_check
+from freepoisson.symplectic import PnEnv
 
 
 def _gate(name):
@@ -72,3 +77,29 @@ def test_c14_last_letter():
 
 def test_c15_cli_roundtrip():
     _gate("cli-roundtrip")
+
+
+def test_a_failing_suite_reports_its_first_failure(monkeypatch):
+    monkeypatch.setattr(checks, "pn_commutator", lambda a, b: PnEnv.zero(a.n))
+    assert run_check("weyl-relations") == (
+        "weyl-relations",
+        False,
+        "defining relations for n = 1, 2; first failure: [X1,Y1] (n=1)",
+    )
+    assert run_check("weyl-embedding") == (
+        "weyl-embedding",
+        False,
+        "commutator identities (n=1,2) + 100 monomial pairs + 100 elements by letters;"
+        " first failure: left [X1,Y1] (n=1)",
+    )
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["check", "weyl-relations"])
+    assert code == 2
+    assert out.getvalue() == "FAIL weyl-relations: defining relations for n = 1, 2; first failure: [X1,Y1] (n=1)\n"
+    monkeypatch.setattr(checks, "pn_env_mul", lambda u, v: PnEnv.zero(u.n))
+    assert run_check("h-commutation") == (
+        "h-commutation",
+        False,
+        "all |gamma| <= 3 against 100 elements (n <= 2); first failure: gamma (0, 0) at element 0",
+    )

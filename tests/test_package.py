@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -101,3 +103,42 @@ def test_clear_caches_before_any_module_has_run():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(freepoisson.__file__))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "h(x1)\n"), proc.stderr
+
+
+def _bench_spans():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # bench/spans.py wraps these by name; a deleted or renamed one would
+    # break traced benchmark runs while the rest of the suite stays green
+    for module, path in _bench_spans().TARGETS:
+        obj = importlib.import_module(f"freepoisson.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj), (module, path)
+
+
+def test_decide_calls_p_gcd_through_the_module_once_per_step(monkeypatch):
+    # the decide benchmark screens systems by replacing poisson.p_gcd
+    from freepoisson import depend, poisson
+
+    calls = []
+    gcd = poisson.p_gcd
+
+    def counted(a, b):
+        calls.append(None)
+        return gcd(a, b)
+
+    monkeypatch.setattr(poisson, "p_gcd", counted)
+    steps = 0
+    for idx, (_, elems, _) in enumerate(depend.load_corpus()):
+        calls.clear()
+        verdict = depend.decide_left_dependence(elems)
+        assert len(calls) == len(verdict.trace), idx
+        steps += len(calls)
+    assert steps > 0
