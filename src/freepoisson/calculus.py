@@ -226,13 +226,13 @@ def _fit_box(n, n_vars, hb, cb, budget):
     return box(lo)
 
 
-def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=None):
+def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound):
     """Search for an exact two-sided inverse of J over the enveloping algebra.
 
     Coefficients of the candidate inverse are confined to h-words of
     length <= hdeg_bound with polynomial coefficients of degree <=
-    coeff_deg_bound, and the box is shrunk to at most `budget` unknowns
-    (depend.BOX_BUDGET when None).  An "invertible" result is always
+    coeff_deg_bound, and the box is shrunk to at most depend.BOX_BUDGET
+    unknowns.  An "invertible" result is always
     re-verified by multiplying out; "unknown" is never a claim of
     non-invertibility.
 
@@ -264,9 +264,7 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound, budget=None):
                 raise AssertionError("adjugate inverse failed verification")
             return InversionResult("invertible", V, True)
 
-    if budget is None:
-        budget = depend.BOX_BUDGET
-    box = _fit_box(n, n_vars, hdeg_bound, coeff_deg_bound, budget)
+    box = _fit_box(n, n_vars, hdeg_bound, coeff_deg_bound, depend.BOX_BUDGET)
     if box is None:
         return InversionResult("unknown", None, False)
     hb, cb = box

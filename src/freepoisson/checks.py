@@ -1,8 +1,12 @@
 """Named property suites, shared by ``fpa check`` and the test suite.
 
-Each suite draws from a seeded RNG, so a given seed always examines the
-same elements.  Suites return a CheckResult instead of raising, which
-lets the CLI print one line per suite and the tests assert on .passed.
+REGISTRY names each suite and its default seed, in the order ``fpa
+check`` runs them.  A suite is a function (rng, fail) -> detail: it draws
+its elements from rng, so a given seed always examines the same
+elements, calls fail(text) for each property that does not hold and
+returns what it examined.  run_check gives a CheckResult instead of
+raising, which lets the CLI print one line per suite and the tests
+assert on .passed.
 """
 
 import contextlib
@@ -13,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import calculus, depend, sampling, syntax
-from .core import graded_lex_key, mi_factorial, mi_norm, mi_swap
+from .core import accumulate, graded_lex_key, mi_factorial, mi_norm, mi_swap
 from .env import (
     Env,
     commutator,
@@ -49,15 +53,7 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _result(name, failures, detail):
-    if failures:
-        return CheckResult(name, False, f"{detail}; first failure: {failures[0]}")
-    return CheckResult(name, True, detail)
-
-
-def check_poisson_axioms(seed=101):
-    rng = random.Random(seed)
-    failures = []
+def check_poisson_axioms(rng, fail):
     for t in range(500):
         n = rng.randint(1, 3)
         da = rng.randint(1, 5)
@@ -67,14 +63,14 @@ def check_poisson_axioms(seed=101):
         b = sampling.rand_poly(rng, n, db)
         c = sampling.rand_poly(rng, n, dc)
         if p_bracket(a, b * c) != p_bracket(a, b) * c + b * p_bracket(a, c):
-            failures.append(f"Leibniz at triple {t}")
+            fail(f"Leibniz at triple {t}")
         jac = (
             p_bracket(a, p_bracket(b, c))
             + p_bracket(b, p_bracket(c, a))
             + p_bracket(c, p_bracket(a, b))
         )
         if not jac.is_zero():
-            failures.append(f"Jacobi at triple {t}")
+            fail(f"Jacobi at triple {t}")
     nonzero = 0
     for t in range(200):
         n = rng.randint(1, 3)
@@ -85,17 +81,11 @@ def check_poisson_axioms(seed=101):
         if not br.is_zero():
             nonzero += 1
             if p_deg(br) != df + dg:
-                failures.append(f"degree additivity at pair {t}")
-    return _result(
-        "poisson-axioms",
-        failures,
-        f"500 triples, 200 homogeneous pairs ({nonzero} nonzero brackets)",
-    )
+                fail(f"degree additivity at pair {t}")
+    return f"500 triples, 200 homogeneous pairs ({nonzero} nonzero brackets)"
 
 
-def check_env_canonical(seed=202):
-    rng = random.Random(seed)
-    failures = []
+def check_env_canonical(rng, fail):
     for t in range(300):
         n = rng.randint(1, 3)
         u, v, w = (
@@ -105,55 +95,47 @@ def check_env_canonical(seed=202):
             for _ in range(3)
         )
         if env_mul(env_mul(u, v), w) != env_mul(u, env_mul(v, w)):
-            failures.append(f"associativity at triple {t}")
+            fail(f"associativity at triple {t}")
     for t in range(300):
         n = rng.randint(1, 3)
         p = sampling.rand_poly(rng, n, rng.randint(1, 3))
         q = sampling.rand_poly(rng, n, rng.randint(1, 3))
         if ham(p * q) != q * ham(p) + p * ham(q):
-            failures.append(f"derivation at pair {t}")
+            fail(f"derivation at pair {t}")
         if ham(p_bracket(p, q)) != commutator(ham(p), ham(q)):
-            failures.append(f"bracket morphism at pair {t}")
-    return _result(
-        "env-canonical", failures, "300 associativity triples, 300 ham pairs"
-    )
+            fail(f"bracket morphism at pair {t}")
+    return "300 associativity triples, 300 ham pairs"
 
 
-def check_leading_terms(seed=303):
-    rng = random.Random(seed)
-    failures = []
+def check_leading_terms(rng, fail):
     for t in range(300):
         n = rng.randint(1, 3)
         u = sampling.rand_env_nonzero(rng, n, 2, 2, terms=rng.randint(1, 2))
         v = sampling.rand_env_nonzero(rng, n, 2, 2, terms=rng.randint(1, 2))
         uv = env_mul(u, v)
         if uv.is_zero():
-            failures.append(f"zero divisor at pair {t}")
+            fail(f"zero divisor at pair {t}")
             continue
         if ldm(uv) != ldm(u) + ldm(v):
-            failures.append(f"ldm at pair {t}")
+            fail(f"ldm at pair {t}")
         if ldc(uv) != ldc(u) * ldc(v):
-            failures.append(f"ldc at pair {t}")
+            fail(f"ldc at pair {t}")
         if hdeg(uv) != hdeg(u) + hdeg(v):
-            failures.append(f"hdeg at pair {t}")
-    return _result("leading-terms", failures, "300 nonzero pairs")
+            fail(f"hdeg at pair {t}")
+    return "300 nonzero pairs"
 
 
-def check_graded_top(seed=404):
-    rng = random.Random(seed)
-    failures = []
+def check_graded_top(rng, fail):
     for t in range(200):
         n = rng.randint(1, 3)
         u = sampling.rand_env_nonzero(rng, n, 2, 2, terms=rng.randint(1, 2))
         v = sampling.rand_env_nonzero(rng, n, 2, 2, terms=rng.randint(1, 2))
         if top(env_mul(u, v)) != graded_mul(top(u), top(v)):
-            failures.append(f"top at pair {t}")
-    return _result("graded-top", failures, "200 nonzero pairs")
+            fail(f"top at pair {t}")
+    return "200 nonzero pairs"
 
 
-def check_lambda_shift(seed=505):
-    rng = random.Random(seed)
-    failures = []
+def check_lambda_shift(rng, fail):
     for t in range(200):
         n = rng.randint(1, 3)
         lam = sampling.rand_poly_nonzero(rng, n, rng.randint(0, 2))
@@ -161,44 +143,35 @@ def check_lambda_shift(seed=505):
         m = hdeg(u)
         v = depend.lambda_shift(lam, u)
         if lam ** (m + 1) * u != env_mul(v, Env.from_poly(lam)):
-            failures.append(f"shift identity at pair {t}")
-    return _result("lambda-shift", failures, "200 pairs, hdeg <= 3")
+            fail(f"shift identity at pair {t}")
+    return "200 pairs, hdeg <= 3"
 
 
-def check_dependence_corpus(seed=None):
-    del seed  # fixed corpus
-    failures = []
+def check_dependence_corpus(_rng, fail):
     systems = depend.load_corpus()
     if len(systems) < 60:
-        failures.append(f"corpus too small: {len(systems)}")
+        fail(f"corpus too small: {len(systems)}")
     n_dep = n_indep = 0
     for idx, (n, elems, expected) in enumerate(systems):
         verdict = depend.decide_left_dependence(elems)
         if verdict.status == "dependent":
             n_dep += 1
             if not depend.verify_witness(verdict.witness, elems):
-                failures.append(f"bad witness at system {idx}")
+                fail(f"bad witness at system {idx}")
         else:
             n_indep += 1
             for a, b in itertools.combinations(verdict.final_words, 2):
                 if word_right_divides(a, b) or word_right_divides(b, a):
-                    failures.append(f"comparable final words at system {idx}")
+                    fail(f"comparable final words at system {idx}")
         witness = depend.brute_force_dependence(elems, 4, 6, n=n)
         if (witness is not None) != (verdict.status == "dependent"):
-            failures.append(f"oracle disagreement at system {idx}")
+            fail(f"oracle disagreement at system {idx}")
         if expected is not None and verdict.status != expected:
-            failures.append(f"label mismatch at system {idx}")
-    return _result(
-        "dependence-corpus",
-        failures,
-        f"{len(systems)} systems ({n_dep} dependent, {n_indep} independent),"
-        " oracle bounds (4, 6)",
-    )
+            fail(f"label mismatch at system {idx}")
+    return f"{len(systems)} systems ({n_dep} dependent, {n_indep} independent), oracle bounds (4, 6)"
 
 
-def check_pair_classifier(seed=707):
-    rng = random.Random(seed)
-    failures = []
+def check_pair_classifier(rng, fail):
     for t in range(50):
         a = sampling.rand_poly_nonzero(
             rng, 2, 3, terms=rng.randint(1, 2), allow_constant=False
@@ -214,11 +187,11 @@ def check_pair_classifier(seed=707):
         g = Poly.constant(cs[1][0]) + cs[1][1] * a + cs[1][2] * (a * a)
         ps = calculus.pair_status(f, g)
         if ps.status != "dependent":
-            failures.append(f"k[a] pair {t} not dependent")
+            fail(f"k[a] pair {t} not dependent")
         elif ps.lam is None:
-            failures.append(f"k[a] pair {t} has no scalar relation")
+            fail(f"k[a] pair {t} has no scalar relation")
         elif ps.lam * ham(f) != ps.mu * ham(g):
-            failures.append(f"k[a] pair {t} relation fails")
+            fail(f"k[a] pair {t} relation fails")
     checked = 0
     while checked < 50:
         f = sampling.rand_poly_nonzero(rng, 2, 3, terms=rng.randint(1, 2))
@@ -228,33 +201,29 @@ def check_pair_classifier(seed=707):
         checked += 1
         ps = calculus.pair_status(f, g)
         if ps.status != "free":
-            failures.append(f"free pair {checked} misclassified")
+            fail(f"free pair {checked} misclassified")
         verdict = depend.decide_left_dependence([ham(f), ham(g)])
         if verdict.status != "independent":
-            failures.append(f"free pair {checked} hams not independent")
-    return _result("pair-classifier", failures, "50 dependent + 50 free pairs")
+            fail(f"free pair {checked} hams not independent")
+    return "50 dependent + 50 free pairs"
 
 
-def check_jacobian_inversion(seed=808):
-    rng = random.Random(seed)
-    failures = []
+def check_jacobian_inversion(rng, fail):
     ident = calculus.identity_matrix(2)
     for t in range(30):
         psi = sampling.rand_tame_automorphism(rng)
         jac = calculus.jacobian(psi)
         res = calculus.invert_jacobian_bounded(jac, 3, 12)
         if res.status != "invertible":
-            failures.append(f"tame map {t} not inverted")
+            fail(f"tame map {t} not inverted")
             continue
         if calculus.mat_mul(res.V, jac) != ident or calculus.mat_mul(jac, res.V) != ident:
-            failures.append(f"tame map {t} inverse not two-sided")
+            fail(f"tame map {t} inverse not two-sided")
     bad = calculus.Endomorphism(2, [Poly.generator(1) ** 2, Poly.generator(2)])
     res = calculus.invert_jacobian_bounded(calculus.jacobian(bad), 3, 6)
     if res.status != "unknown" or not res.exhausted:
-        failures.append("square example not reported unknown/exhausted")
-    return _result(
-        "jacobian-inversion", failures, "30 tame maps at bounds (3, 12) + 1 unknown"
-    )
+        fail("square example not reported unknown/exhausted")
+    return "30 tame maps at bounds (3, 12) + 1 unknown"
 
 
 def theta_by_letters(a, sign):
@@ -276,45 +245,42 @@ def theta_by_letters(a, sign):
     return out
 
 
-def check_weyl_embedding(seed=909):
-    rng = random.Random(seed)
-    failures = []
+def _commutation(fail, n, sides, kinds):
+    """Check canonical commutation relations in P_n^e.  Each side (prefix,
+    xs, ys, c) gives images xs[i], ys[i] of X_{i+1}, Y_{i+1}; each kind PQ
+    of kinds ("XY", "XX" or "YY") asks that [P_{i+1}, Q_{j+1}] be c at
+    i == j for XY and 0 otherwise.  Runs over (i, j), then the sides, then
+    the kinds, in order, and fails with "<prefix>[Pi,Qj] (n=n)"."""
+    for i, j in itertools.product(range(len(sides[0][1])), repeat=2):
+        for prefix, xs, ys, c in sides:
+            images = {"X": xs, "Y": ys}
+            for p, q in kinds:
+                expected = c if p + q == "XY" and i == j else 0
+                if pn_commutator(images[p][i], images[q][j]) != expected:
+                    fail(f"{prefix}[{p}{i + 1},{q}{j + 1}] (n={n})")
+
+
+def check_weyl_embedding(rng, fail):
     for n in (1, 2):
-        one = PnEnv.from_poly(SPoly.one(n))
-        lx = [theta_left(Weyl.X(n, i)) for i in range(1, n + 1)]
-        ly = [theta_left(Weyl.Y(n, i)) for i in range(1, n + 1)]
-        rx = [theta_right(Weyl.X(n, i)) for i in range(1, n + 1)]
-        ry = [theta_right(Weyl.Y(n, i)) for i in range(1, n + 1)]
-        for i in range(n):
-            for j in range(n):
-                delta = one if i == j else PnEnv.zero(n)
-                if pn_commutator(lx[i], ly[j]) != delta:
-                    failures.append(f"left [X{i + 1},Y{j + 1}] (n={n})")
-                if not pn_commutator(lx[i], lx[j]).is_zero():
-                    failures.append(f"left [X{i + 1},X{j + 1}] (n={n})")
-                if not pn_commutator(ly[i], ly[j]).is_zero():
-                    failures.append(f"left [Y{i + 1},Y{j + 1}] (n={n})")
-                if pn_commutator(rx[i], ry[j]) != -delta:
-                    failures.append(f"right [X{i + 1},Y{j + 1}] (n={n})")
-                if not pn_commutator(rx[i], rx[j]).is_zero():
-                    failures.append(f"right [X{i + 1},X{j + 1}] (n={n})")
-                if not pn_commutator(ry[i], ry[j]).is_zero():
-                    failures.append(f"right [Y{i + 1},Y{j + 1}] (n={n})")
+        xs, ys = [Weyl.X(n, i) for i in range(1, n + 1)], [Weyl.Y(n, i) for i in range(1, n + 1)]
+        sides = [
+            ("left ", [theta_left(a) for a in xs], [theta_left(a) for a in ys], 1),
+            ("right ", [theta_right(a) for a in xs], [theta_right(a) for a in ys], -1),
+        ]
+        _commutation(fail, n, sides, ("XY", "XX", "YY"))
     for t in range(100):
         n = rng.randint(1, 2)
         a = sampling.rand_weyl_monomial(rng, n, 3)
         b = sampling.rand_weyl_monomial(rng, n, 3)
         left, right = theta_left(a), theta_right(b)
         if pn_env_mul(left, right) != pn_env_mul(right, left):
-            failures.append(f"left/right images fail to commute at pair {t}")
+            fail(f"left/right images fail to commute at pair {t}")
     for t in range(100):
         n = rng.randint(1, 2)
         a = sampling.rand_weyl(rng, n, 4, terms=rng.randint(1, 3))
         if theta_left(a) != theta_by_letters(a, 1) or theta_right(a) != theta_by_letters(a, -1):
-            failures.append(f"closed forms against the letter-by-letter products at element {t}")
-    return _result(
-        "weyl-embedding", failures, "commutator identities (n=1,2) + 100 monomial pairs + 100 elements by letters"
-    )
+            fail(f"closed forms against the letter-by-letter products at element {t}")
+    return "commutator identities (n=1,2) + 100 monomial pairs + 100 elements by letters"
 
 
 def symmetrize_by_permutations(f):
@@ -355,17 +321,15 @@ def moyal_by_derivatives(f, g):
     return out
 
 
-def check_symmetrization(seed=1010):
-    rng = random.Random(seed)
-    failures = []
+def check_symmetrization(rng, fail):
     for t in range(200):
         n = rng.randint(1, 2)
         f = sampling.rand_spoly(rng, n, 4, terms=rng.randint(1, 3))
         w = symmetrize(f)
         if w != symmetrize_by_permutations(f):
-            failures.append(f"closed form against the permutation average at element {t}")
+            fail(f"closed form against the permutation average at element {t}")
         if not rho_w(f) == theta_left(w) == rho_w_by_derivatives(f):
-            failures.append(f"factorization at element {t}")
+            fail(f"factorization at element {t}")
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     expected = PnEnv(
         1,
@@ -377,13 +341,11 @@ def check_symmetrization(seed=1010):
         },
     )
     if rho_w(SPoly(1, {(1, 1): 1})) != expected:
-        failures.append("worked value rho_w(x1*y1)")
-    return _result("symmetrization", failures, "200 elements + worked value")
+        fail("worked value rho_w(x1*y1)")
+    return "200 elements + worked value"
 
 
-def check_h_commutation(seed=1111):
-    rng = random.Random(seed)
-    failures = []
+def check_h_commutation(rng, fail):
     gammas = {n: sampling.multi_indices(2 * n, 3) for n in (1, 2)}
     for t in range(100):
         n = rng.randint(1, 2)
@@ -395,70 +357,48 @@ def check_h_commutation(seed=1111):
             terms = {}
             for alpha in _sub_indices(gamma):
                 beta = tuple(g - a for g, a in zip(gamma, alpha))
-                sign = -1 if mi_norm(alpha[n:]) % 2 else 1
-                coeff = Fraction(sign, mi_factorial(alpha) * mi_factorial(beta))
-                part = coeff * f.derive_multi(mi_swap(alpha))
-                if beta in terms:
-                    terms[beta] = terms[beta] + part
-                else:
-                    terms[beta] = part
+                coeff = Fraction((-1) ** mi_norm(alpha[n:]), mi_factorial(alpha) * mi_factorial(beta))
+                accumulate(terms, [(beta, coeff * f.derive_multi(mi_swap(alpha)))])
             if lhs != PnEnv(n, terms):
-                failures.append(f"gamma {gamma} at element {t}")
-    return _result(
-        "h-commutation", failures, "all |gamma| <= 3 against 100 elements (n <= 2)"
-    )
+                fail(f"gamma {gamma} at element {t}")
+    return "all |gamma| <= 3 against 100 elements (n <= 2)"
 
 
-def check_moyal(seed=1212):
-    rng = random.Random(seed)
-    failures = []
+def check_moyal(rng, fail):
     for t in range(200):
         n = rng.randint(1, 2)
         f = sampling.rand_spoly(rng, n, 4, terms=rng.randint(1, 2))
         g = sampling.rand_spoly(rng, n, 4, terms=rng.randint(1, 2))
         m = moyal(f, g)
         if m != moyal_by_derivatives(f, g):
-            failures.append(f"derivative series at pair {t}")
+            fail(f"derivative series at pair {t}")
         prod = pn_env_mul(rho_w(f), rho_w(g))
         if prod.p_part() != m:
-            failures.append(f"constant term at pair {t}")
+            fail(f"constant term at pair {t}")
         if prod != rho_w(m):
-            failures.append(f"product transport at pair {t}")
+            fail(f"product transport at pair {t}")
     for t in range(100):
         n = rng.randint(1, 2)
         f, g, h = (sampling.rand_spoly(rng, n, 3, terms=rng.randint(1, 2)) for _ in range(3))
         if moyal(moyal(f, g), h) != moyal(f, moyal(g, h)):
-            failures.append(f"associativity at triple {t}")
+            fail(f"associativity at triple {t}")
     x1, y1 = SPoly.x(1, 1), SPoly.y(1, 1)
     if moyal(x1, y1) - moyal(y1, x1) != SPoly.one(1):
-        failures.append("canonical commutation value")
-    return _result("moyal", failures, "200 transport pairs, 100 associativity triples")
+        fail("canonical commutation value")
+    return "200 transport pairs, 100 associativity triples"
 
 
-def check_weyl_relations(seed=None):
-    del seed  # deterministic
-    failures = []
+def check_weyl_relations(_rng, fail):
     for n in (1, 2):
-        one = PnEnv.from_poly(SPoly.one(n))
         zx = [PnEnv.from_poly(SPoly.x(n, i)) for i in range(1, n + 1)]
         zx += [PnEnv.from_poly(SPoly.y(n, i)) for i in range(1, n + 1)]
         zy = [PnEnv.h_y(n, i) for i in range(1, n + 1)]
         zy += [-PnEnv.h_x(n, i) for i in range(1, n + 1)]
-        for a in range(2 * n):
-            for b in range(2 * n):
-                if not pn_commutator(zx[a], zx[b]).is_zero():
-                    failures.append(f"[X{a + 1},X{b + 1}] (n={n})")
-                if not pn_commutator(zy[a], zy[b]).is_zero():
-                    failures.append(f"[Y{a + 1},Y{b + 1}] (n={n})")
-                expect = one if a == b else PnEnv.zero(n)
-                if pn_commutator(zx[a], zy[b]) != expect:
-                    failures.append(f"[X{a + 1},Y{b + 1}] (n={n})")
-    return _result("weyl-relations", failures, "defining relations for n = 1, 2")
+        _commutation(fail, n, [("", zx, zy, 1)], ("XX", "YY", "XY"))
+    return "defining relations for n = 1, 2"
 
 
-def check_last_letter(seed=1414):
-    rng = random.Random(seed)
-    failures = []
+def check_last_letter(rng, fail):
     n = 3
     nontrivial = 0
     for t in range(100):
@@ -471,7 +411,7 @@ def check_last_letter(seed=1414):
         for i, part in parts.items():
             total = total + env_mul(part, Env({(i,): Poly.one()}))
         if total != ham(p):
-            failures.append(f"decomposition at element {t}")
+            fail(f"decomposition at element {t}")
         fn = parts[n]
         if fn.is_zero():
             continue
@@ -481,10 +421,8 @@ def check_last_letter(seed=1414):
             not parts[i].is_zero() and graded_lex_key(ldm(parts[i])) > key_n
             for i in range(1, n)
         ):
-            failures.append(f"no dominating part at element {t}")
-    return _result(
-        "last-letter", failures, f"100 Lie elements (n=3), {nontrivial} with an x3 part"
-    )
+            fail(f"no dominating part at element {t}")
+    return f"100 Lie elements (n=3), {nontrivial} with an x3 part"
 
 
 def _run_cli(argv):
@@ -496,24 +434,22 @@ def _run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_cli_roundtrip(seed=1515):
-    rng = random.Random(seed)
-    failures = []
+def check_cli_roundtrip(rng, fail):
     for t in range(200):
         n = rng.randint(1, 3)
         p = sampling.rand_poly(rng, n, 4, terms=rng.randint(1, 3))
         if syntax.parse_element(syntax.render(p), n, "poisson") != p:
-            failures.append(f"poisson round-trip at {t}")
+            fail(f"poisson round-trip at {t}")
         u = sampling.rand_env(rng, n, 2, 2, terms=rng.randint(1, 2))
         if syntax.parse_element(syntax.render(u), n, "env") != u:
-            failures.append(f"env round-trip at {t}")
+            fail(f"env round-trip at {t}")
         m = rng.randint(1, 2)
         f = sampling.rand_spoly(rng, m, 4, terms=rng.randint(1, 3))
         if syntax.parse_element(syntax.render(f), m, "symplectic") != f:
-            failures.append(f"symplectic round-trip at {t}")
+            fail(f"symplectic round-trip at {t}")
         a = sampling.rand_weyl(rng, m, 3, terms=rng.randint(1, 3))
         if syntax.parse_element(syntax.render(a), m, "weyl") != a:
-            failures.append(f"weyl round-trip at {t}")
+            fail(f"weyl round-trip at {t}")
     documented = [
         (["bracket", "-n", "3", "{x1, x2*x3}"], "[x1,x2]*x3 + x2*[x1,x3]\n"),
         (["moyal", "-n", "1", "x1", "y1"], "x1*y1 + 1/2\n"),
@@ -525,7 +461,7 @@ def check_cli_roundtrip(seed=1515):
     for argv, expected in documented:
         code, out, _ = _run_cli(argv)
         if code != 0 or out != expected:
-            failures.append(f"documented output for {argv[0]}")
+            fail(f"documented output for {argv[0]}")
     cases = [
         (["bracket", "-n", "2", "{x1,"], 1),
         (["bracket", "-n", "2", "x5"], 2),
@@ -534,35 +470,38 @@ def check_cli_roundtrip(seed=1515):
     for argv, want in cases:
         code, out, _ = _run_cli(argv)
         if code != want:
-            failures.append(f"exit code for {argv}")
+            fail(f"exit code for {argv}")
         if want == 3 and out:
-            failures.append("undecided run wrote to stdout")
-    return _result(
-        "cli-roundtrip", failures, "200 round-trips per type + documented invocations"
-    )
+            fail("undecided run wrote to stdout")
+    return "200 round-trips per type + documented invocations"
 
 
-REGISTRY = [
-    ("poisson-axioms", check_poisson_axioms, 101),
-    ("env-canonical", check_env_canonical, 202),
-    ("leading-terms", check_leading_terms, 303),
-    ("graded-top", check_graded_top, 404),
-    ("lambda-shift", check_lambda_shift, 505),
-    ("dependence-corpus", check_dependence_corpus, None),
-    ("pair-classifier", check_pair_classifier, 707),
-    ("jacobian-inversion", check_jacobian_inversion, 808),
-    ("weyl-embedding", check_weyl_embedding, 909),
-    ("symmetrization", check_symmetrization, 1010),
-    ("h-commutation", check_h_commutation, 1111),
-    ("moyal", check_moyal, 1212),
-    ("weyl-relations", check_weyl_relations, None),
-    ("last-letter", check_last_letter, 1414),
-    ("cli-roundtrip", check_cli_roundtrip, 1515),
-]
+REGISTRY = {
+    "poisson-axioms": (check_poisson_axioms, 101),
+    "env-canonical": (check_env_canonical, 202),
+    "leading-terms": (check_leading_terms, 303),
+    "graded-top": (check_graded_top, 404),
+    "lambda-shift": (check_lambda_shift, 505),
+    "dependence-corpus": (check_dependence_corpus, None),
+    "pair-classifier": (check_pair_classifier, 707),
+    "jacobian-inversion": (check_jacobian_inversion, 808),
+    "weyl-embedding": (check_weyl_embedding, 909),
+    "symmetrization": (check_symmetrization, 1010),
+    "h-commutation": (check_h_commutation, 1111),
+    "moyal": (check_moyal, 1212),
+    "weyl-relations": (check_weyl_relations, None),
+    "last-letter": (check_last_letter, 1414),
+    "cli-roundtrip": (check_cli_roundtrip, 1515),
+}
 
 
 def run_check(name, seed=None):
-    for reg_name, fn, default_seed in REGISTRY:
-        if reg_name == name:
-            return fn(default_seed if seed is None else seed)
-    raise DomainError(f"unknown check suite: {name}")
+    """Run the suite `name` at `seed`, or at its default seed when None."""
+    if name not in REGISTRY:
+        raise DomainError(f"unknown check suite: {name}")
+    suite, default_seed = REGISTRY[name]
+    failures = []
+    detail = suite(random.Random(default_seed if seed is None else seed), failures.append)
+    if failures:
+        detail += f"; first failure: {failures[0]}"
+    return CheckResult(name, not failures, detail)

@@ -141,7 +141,7 @@ def _cmd_pair_status(args):
 def _cmd_check(args):
     from . import checks
 
-    names = args.suites or [name for name, _, _ in checks.REGISTRY]
+    names = args.suites or list(checks.REGISTRY)
     all_ok = True
     for name in names:
         result = checks.run_check(name, seed=args.seed)

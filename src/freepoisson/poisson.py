@@ -13,7 +13,7 @@ every display order is taken in it.
 import heapq
 import math
 from fractions import Fraction
-from operator import add, mul, sub, truediv
+from operator import add, sub, truediv
 
 from . import freelie
 from .core import SCALARS, Terms, accumulate, graded_lex_key
@@ -257,17 +257,17 @@ def _iquot(c, d):
 
 
 def divexact(a, b):
-    """Exact polynomial division a / b; raises ValueError if not divisible."""
+    """Exact polynomial division a / b; raises ValueError if not divisible.
+
+    An exact quotient is the same under every term order, so the division
+    runs on exponent tuples in their lex order."""
     if b.is_zero():
         raise ValueError("division by zero polynomial")
     words = sorted(a.variables() | b.variables(), key=graded_lex_key)
-    lens = [len(w) for w in words]
-    # keyed by (degree, exponents), whose tuple order is that of mono_key
-    a, b = ({(sum(map(mul, lens, e)),) + e: c for e, c in _exponents(words, p).items()} for p in (a, b))
-    quo = _divide(a, b, truediv)
+    quo = _divide(_exponents(words, a), _exponents(words, b), truediv)
     if quo is None:
         raise ValueError("polynomials do not divide exactly")
-    return _from_exponents(words, {e[1:]: c for e, c in quo.items()})
+    return _from_exponents(words, quo)
 
 
 def _degrees(p):

@@ -7,11 +7,13 @@ coefficients on the left of commuting h-generators indexed by a length-2n
 multi-index, with h_{x_i} q = q h_{x_i} + dq/dy_i and
 h_{y_i} q = q h_{y_i} - dq/dx_i.
 
-Every product here runs one integer contraction kernel, _contract, on two
-factors given as flat exponent vectors with integer numerators over one
-common denominator.  A vector is packed into one int, its exponents being
-the digits in base 1 + E_u + E_v (E: the largest exponent of a factor), so
-no digit carries.  A channel (i, j, lam) contracts exponent p at place i of
+The three noncommutative products, weyl_mul, moyal and pn_env_mul, run
+one integer contraction kernel, _contract, on two factors given as flat
+exponent vectors with integer numerators over one common denominator.
+(The commutative SPoly product is a plain loop over pairs of terms.)  A
+vector is packed into one int, its exponents being the digits in base
+1 + E_u + E_v (E: the largest exponent of a factor), so no digit
+carries.  A channel (i, j, lam) contracts exponent p at place i of
 the left factor against q at place j of the right: its index k lowers both
 by k, which subtracts a fixed multiple of the code, with the weight
 lam^k k! C(p,k) C(q,k).  weyl_mul has one channel per variable, Y_i

@@ -175,13 +175,15 @@ def test_invert_non_automorphism_is_unknown():
         invert_jacobian_bounded(J, -1, 2)
 
 
-def test_invert_shrinks_the_box_by_counting():
+def test_invert_shrinks_the_box_by_counting(monkeypatch):
     # the shrink counts the box in closed form; enumerating (3, 24) used to
     # exhaust the stack, and a bound far above the budget returns at once
     J = jacobian(Endomorphism(2, [X1 * X1, X2]))
-    res = invert_jacobian_bounded(J, 3, 24, budget=2000)
+    monkeypatch.setattr(depend, "BOX_BUDGET", 2000)
+    res = invert_jacobian_bounded(J, 3, 24)
     assert (res.status, res.exhausted) == ("unknown", False)
-    res = invert_jacobian_bounded(J, 10**9, 10**9, budget=100)
+    monkeypatch.setattr(depend, "BOX_BUDGET", 100)
+    res = invert_jacobian_bounded(J, 10**9, 10**9)
     assert (res.status, res.exhausted) == ("unknown", False)
 
 
