@@ -64,7 +64,7 @@ def _register_lazily(modules):
 
 _register_lazily((*_EXPORTS, "linalg"))
 
-from . import env, freelie  # noqa: E402  (the lazy modules registered above)
+from . import freelie  # noqa: E402  (the lazy modules registered above)
 
 
 def __getattr__(name):
@@ -78,14 +78,12 @@ def __dir__():
 
 
 def clear_caches():
-    """Empty the bracket cache of `freelie` and the ham cache of `env`.
-
-    Both caches only grow, and results do not depend on them.  Returns
-    their sizes before clearing, as {"bracket": int, "ham": int}.
+    """Empty the bracket cache of `freelie`, the one table of the package
+    that grows across calls.  Results do not depend on it.  Returns its
+    size before clearing, as {"bracket": int}.
     """
-    sizes = {"bracket": len(freelie._BRACKET_CACHE), "ham": len(env._HAM_CACHE)}
+    sizes = {"bracket": len(freelie._BRACKET_CACHE)}
     freelie._BRACKET_CACHE.clear()
-    env._HAM_CACHE.clear()
     return sizes
 
 

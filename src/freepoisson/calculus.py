@@ -115,6 +115,7 @@ class InversionResult(NamedTuple):
     status: str  # "invertible" | "unknown"
     V: Optional[EnvMatrix]
     exhausted: bool  # whether the full requested box was searched
+    box: Optional[tuple]  # the (hdeg, coefficient degree) box searched, or None
 
 
 def _poly_matrix(J):
@@ -232,9 +233,10 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound):
     Coefficients of the candidate inverse are confined to h-words of
     length <= hdeg_bound with polynomial coefficients of degree <=
     coeff_deg_bound, and the box is shrunk to at most depend.BOX_BUDGET
-    unknowns.  An "invertible" result is always
-    re-verified by multiplying out; "unknown" is never a claim of
-    non-invertibility.
+    unknowns (_fit_box); the result's `box` is the box searched, the whole
+    request when the polynomial adjugate gives the inverse, and None when
+    no box fits.  An "invertible" result is always re-verified by
+    multiplying out; "unknown" is never a claim of non-invertibility.
 
     The box search solves only V*J = I (_search_box).  A two-sided inverse
     is also the only left inverse: V*J = I gives V = (V*J)*V0 = V0 for any
@@ -262,23 +264,23 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound):
             )
             if not _verify_inverse(J, V):
                 raise AssertionError("adjugate inverse failed verification")
-            return InversionResult("invertible", V, True)
+            return InversionResult("invertible", V, True, (hdeg_bound, coeff_deg_bound))
 
     box = _fit_box(n, n_vars, hdeg_bound, coeff_deg_bound, depend.BOX_BUDGET)
     if box is None:
-        return InversionResult("unknown", None, False)
+        return InversionResult("unknown", None, False, None)
     hb, cb = box
-    exhausted = hb == hdeg_bound and cb == coeff_deg_bound
+    exhausted = box == (hdeg_bound, coeff_deg_bound)
 
     V = _search_box(J, hb, cb, n_vars)
     if V is None:
-        return InversionResult("unknown", None, exhausted)
+        return InversionResult("unknown", None, exhausted, box)
     ident = identity_matrix(n)
     if mat_mul(V, J) != ident:
         raise AssertionError("solved left inverse failed verification")
     if mat_mul(J, V) != ident:
-        return InversionResult("unknown", None, exhausted)
-    return InversionResult("invertible", V, exhausted)
+        return InversionResult("unknown", None, exhausted, box)
+    return InversionResult("invertible", V, exhausted, box)
 
 
 class PairStatus(NamedTuple):

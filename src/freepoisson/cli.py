@@ -86,11 +86,11 @@ def _cmd_jacobian(args):
     _check_bounds(args)
     res = calculus.invert_jacobian_bounded(jac, args.hdeg_bound, args.coeff_bound)
     if res.status != "invertible":
-        print(
-            f"inverse not found within hdeg {args.hdeg_bound}, "
-            f"coefficient degree {args.coeff_bound}",
-            file=sys.stderr,
-        )
+        box = "hdeg {}, coefficient degree {}"
+        msg = "no box fits the budget" if res.box is None else "searched " + box.format(*res.box)
+        if res.box != (args.hdeg_bound, args.coeff_bound):
+            msg += f" (requested {box.format(args.hdeg_bound, args.coeff_bound)})"
+        print(f"inverse not found: {msg}", file=sys.stderr)
         return 3
     return _matrix_out(args, res.V)
 

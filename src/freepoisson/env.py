@@ -14,6 +14,10 @@ and since {x_i, .} is a derivation they give the derivation rule
 which `_Derivation` applies, one letter of h_w at a time from the last,
 to make h_w * u in canonical form.  It is the only statement of the
 relation: env_mul and the bounded searches of `depend` both call it.
+
+Products of the h(x_i) with constant coefficients are plain h-words, so
+`ham` of a basis element is its associative expansion in the h-letters:
+a closed form that makes no product and keeps no table.
 """
 
 from . import freelie, poisson
@@ -161,36 +165,20 @@ def graded_mul(a, b):
     return Env._make(out)
 
 
-_HAM_CACHE = {}
-
-
-def _ham_word(w):
-    """Hamiltonian of a Lyndon-basis element, in canonical form."""
-    got = _HAM_CACHE.get(w)
-    if got is not None:
-        return got
-    if len(w) == 1:
-        got = Env({(w[0],): Poly.one()})
-    else:
-        u, v = freelie.standard_factorization(w)
-        got = commutator(_ham_word(u), _ham_word(v))
-    _HAM_CACHE[w] = got
-    return got
-
-
 def ham(p):
-    """Hamiltonian of a polynomial.
+    """Hamiltonian of a polynomial, in closed form: no Env product.
 
     Linear in p; on a monomial it expands by the Leibniz rule
     h(m) = sum over basis factors e_w of  e·(m / e_w)·h(e_w),
-    and on basis elements by h([u, v]) = [h(u), h(v)].
+    and h(e_w) is the associative expansion of w in the h-letters
+    (freelie.associative_expansion), by h({u, v}) = [h(u), h(v)].
     """
     out = {}
     for m, c in p.terms.items():
         for w, e, rest in poisson.partials(m):
-            cof = Poly._make({rest: c * e})
-            accumulate(out, (cof * _ham_word(w)).terms.items())
-    return Env._make(out)
+            for v, d in freelie.associative_expansion(w).items():
+                accumulate(out.setdefault(v, {}), ((rest, c * (e * d)),))
+    return Env._make({v: Poly._make(q) for v, q in out.items() if q})
 
 
 def hdeg(u):

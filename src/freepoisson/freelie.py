@@ -5,6 +5,10 @@ with a Lyndon word (a tuple of letter indices, 1-based) whose attached
 bracketing is the standard one derived from the standard factorization.
 Generators are ordered x1 < x2 < ..., and words compare lexicographically
 with that letter order (a proper prefix is smaller than the full word).
+
+`associative_expansion`, a basis word's bracketing as an associative
+polynomial, is the Hamiltonian map on basis words (env.ham) and the core
+of the test oracle `lie_bracket_oracle`.
 """
 
 from fractions import Fraction
@@ -161,16 +165,13 @@ def lie_bracket(a, b):
     return Lie._make(out)
 
 
-# ---------------------------------------------------------------------------
-# Cross-check oracle: expand bracketings in the free associative algebra and
-# convert back by greedy peeling of minimal Lyndon words.  Exponential in the
-# degree, so only used at test scale.
-
 def associative_expansion(word):
-    """Expansion of a basis word's bracketing as an associative polynomial."""
+    """A basis word's bracketing expanded in the free associative algebra
+    by [u, v] = uv - vu, with integer coefficients.  In the h-letters it is
+    h of the basis element in canonical form (env.ham)."""
     w = tuple(word)
     if len(w) == 1:
-        return {w: Fraction(1)}
+        return {w: 1}
     u, v = standard_factorization(w)
     a = associative_expansion(u)
     b = associative_expansion(v)
@@ -180,6 +181,11 @@ def associative_expansion(word):
             accumulate(out, [(wu + wv, cu * cv), (wv + wu, -cu * cv)])
     return out
 
+
+# ---------------------------------------------------------------------------
+# Cross-check oracle: expand bracketings in the free associative algebra and
+# convert back by greedy peeling of minimal Lyndon words.  Independent of
+# _basis_bracket, and only used at test scale.
 
 def lie_to_associative(a):
     """Image of a Lie element in the free associative algebra."""

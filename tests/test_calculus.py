@@ -169,7 +169,7 @@ def test_invert_non_automorphism_is_unknown():
     J = jacobian(Endomorphism(2, [X1 * X1, X2]))
     res = invert_jacobian_bounded(J, 3, 6)
     assert res.status == "unknown"
-    assert res.exhausted
+    assert res.exhausted and res.box == (3, 6)
     assert res.V is None
     with pytest.raises(ValueError):
         invert_jacobian_bounded(J, -1, 2)
@@ -181,10 +181,13 @@ def test_invert_shrinks_the_box_by_counting(monkeypatch):
     J = jacobian(Endomorphism(2, [X1 * X1, X2]))
     monkeypatch.setattr(depend, "BOX_BUDGET", 2000)
     res = invert_jacobian_bounded(J, 3, 24)
-    assert (res.status, res.exhausted) == ("unknown", False)
+    assert (res.status, res.exhausted, res.box) == ("unknown", False, (3, 4))
     monkeypatch.setattr(depend, "BOX_BUDGET", 100)
     res = invert_jacobian_bounded(J, 10**9, 10**9)
-    assert (res.status, res.exhausted) == ("unknown", False)
+    assert (res.status, res.exhausted, res.box) == ("unknown", False, (1, 2))
+    # below the size of the box (0, 0) nothing is searched
+    monkeypatch.setattr(depend, "BOX_BUDGET", 3)
+    assert invert_jacobian_bounded(J, 3, 24) == ("unknown", None, False, None)
 
 
 def two_sided_search(J, hb, cb, n_vars):

@@ -100,6 +100,17 @@ def test_jacobian():
     assert code == 2 and out == ""
 
 
+def test_jacobian_invert_names_the_box_it_searched():
+    # (3, 24) in two letters is over the unknown budget, so the search
+    # runs in the smaller box (3, 10); the default (3, 6) fits as asked
+    code, out, err = cap(["jacobian", "-n", "2", "--invert", "--coeff-bound", "24", "x1^2", "x2"])
+    assert (code, out) == (3, "")
+    assert "searched hdeg 3, coefficient degree 10" in err and "requested hdeg 3, coefficient degree 24" in err
+    code, out, err = cap(["jacobian", "-n", "2", "--invert", "x1^2", "x2"])
+    assert (code, out) == (3, "")
+    assert "searched hdeg 3, coefficient degree 6" in err and "requested" not in err
+
+
 def test_depend():
     assert cap(["depend", "-n", "1", "h(x1)", "x1*h(x1)"]) == (
         0,

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 
@@ -97,12 +98,55 @@ def test_clear_caches_before_any_module_has_run():
         "import freepoisson\n"
         "lazy = [n for n, m in sys.modules.items() if n.startswith('freepoisson.') and type(m) is not types.ModuleType]\n"
         "assert 'freepoisson.freelie' in lazy and 'freepoisson.env' in lazy, lazy\n"
-        "assert freepoisson.clear_caches() == {'bracket': 0, 'ham': 0}\n"
+        "assert freepoisson.clear_caches() == {'bracket': 0}\n"
         "print(freepoisson.render(freepoisson.ham(freepoisson.Poly.generator(1))))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(freepoisson.__file__))}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "h(x1)\n"), proc.stderr
+
+
+_STATEFUL = ("core", "freelie", "poisson", "env", "depend", "linalg", "calculus", "symplectic", "syntax", "cli")
+
+
+def _module_tables():
+    """Size of every module-level dict, list and set of the algebra modules."""
+    sizes = {}
+    for name in _STATEFUL:
+        module = importlib.import_module(f"freepoisson.{name}")
+        for attr, value in vars(module).items():
+            if isinstance(value, (dict, list, set)) and not attr.startswith("__"):
+                sizes[f"{name}.{attr}"] = len(value)
+    return sizes
+
+
+def test_only_the_bracket_table_outlives_a_call():
+    # every table that lives longer than one call needs a bound; the
+    # bracket cache is the one such table, and no other table may grow
+    from freepoisson import calculus, depend, poisson, sampling, symplectic
+    from freepoisson.env import ham
+
+    freepoisson.clear_caches()
+    before = _module_tables()
+    rng = random.Random(11)
+    for _ in range(3):
+        p, q = (sampling.rand_poly_nonzero(rng, 3, 4, terms=3) for _ in range(2))
+        ham(p)
+        poisson.p_bracket(p, q)
+        for i in (1, 2, 3):
+            calculus.fox(q, i)
+    for n, elems, _ in depend.load_corpus()[:5]:
+        depend.decide_left_dependence(elems)
+        depend.brute_force_dependence(elems, 1, 1, n=n)
+    X1, X2 = poisson.Poly.generator(1), poisson.Poly.generator(2)
+    calculus.invert_jacobian_bounded(calculus.jacobian(calculus.Endomorphism(2, [X1 * X1, X2])), 2, 2)
+    f, g = (sampling.rand_spoly(rng, 1, 3) for _ in range(2))
+    symplectic.moyal(f, g)
+    symplectic.pn_env_mul(symplectic.rho_w(f), symplectic.rho_w(g))
+    symplectic.theta_left(symplectic.symmetrize(f))
+    after = _module_tables()
+    grown = sorted(name for name, size in after.items() if size != before.get(name, 0))
+    assert grown == ["freelie._BRACKET_CACHE"], (before, after)
 
 
 def _bench_spans():
