@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 from . import depend, linalg, poisson
 from .core import Record
-from .env import Env, env_mul, ham, split
+from .env import Env, env_mul, ham, ldm, split
 from .poisson import Poly
 
 
@@ -114,7 +114,6 @@ def env_apply(psi, u):
 class InversionResult(NamedTuple):
     status: str  # "invertible" | "unknown"
     V: Optional[EnvMatrix]
-    exhausted: bool  # whether the full requested box was searched
     box: Optional[tuple]  # the (hdeg, coefficient degree) box searched, or None
 
 
@@ -159,11 +158,6 @@ def _poly_adjugate(m):
                 cof = -cof
             adj[j][i] = cof
     return adj
-
-
-def _verify_inverse(J, V):
-    ident = identity_matrix(J.n)
-    return mat_mul(V, J) == ident and mat_mul(J, V) == ident
 
 
 def _search_box(J, hb, cb, n_vars):
@@ -232,55 +226,43 @@ def invert_jacobian_bounded(J, hdeg_bound, coeff_deg_bound):
 
     Coefficients of the candidate inverse are confined to h-words of
     length <= hdeg_bound with polynomial coefficients of degree <=
-    coeff_deg_bound, and the box is shrunk to at most depend.BOX_BUDGET
-    unknowns (_fit_box); the result's `box` is the box searched, the whole
-    request when the polynomial adjugate gives the inverse, and None when
-    no box fits.  An "invertible" result is always re-verified by
-    multiplying out; "unknown" is never a claim of non-invertibility.
+    coeff_deg_bound, in the letters of J's h-words and coefficients, and
+    the box is shrunk to at most depend.BOX_BUDGET unknowns (_fit_box);
+    the result's `box` is the box searched, the whole request when the
+    polynomial adjugate gives V, and None when no box fits.
+    "unknown" is never a claim of non-invertibility.
 
     The box search solves only V*J = I (_search_box).  A two-sided inverse
     is also the only left inverse: V*J = I gives V = (V*J)*V0 = V0 for any
-    two-sided inverse V0.  So a solved V with V*J != I is a defect and
-    raises AssertionError, and a solved V with J*V != I means that the box
-    holds no two-sided inverse, which is "unknown" as when the left
-    system has no solution.
+    two-sided inverse V0.  So either path's V is checked once, by
+    multiplying out: V*J != I is a defect and raises AssertionError, and
+    J*V != I means that the box holds no two-sided inverse, which is
+    "unknown" as when the left system has no solution.
     """
     if hdeg_bound < 0 or coeff_deg_bound < 0:
         raise ValueError("bounds must be nonnegative")
     n = J.n
-    n_vars = max([n] + [max(w) for row in J.entries for u in row for w in u.terms if w])
-
+    V, box = None, (hdeg_bound, coeff_deg_bound)
     pm = _poly_matrix(J)
     if pm is not None:
         det = _poly_det(pm)
         if det.is_constant() and not det.is_zero():
-            c = det.constant_value()
-            adj = _poly_adjugate(pm)
-            V = EnvMatrix(
-                [
-                    [Env.from_poly(adj[i][j] * (Fraction(1) / c)) for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            if not _verify_inverse(J, V):
-                raise AssertionError("adjugate inverse failed verification")
-            return InversionResult("invertible", V, True, (hdeg_bound, coeff_deg_bound))
-
-    box = _fit_box(n, n_vars, hdeg_bound, coeff_deg_bound, depend.BOX_BUDGET)
-    if box is None:
-        return InversionResult("unknown", None, False, None)
-    hb, cb = box
-    exhausted = box == (hdeg_bound, coeff_deg_bound)
-
-    V = _search_box(J, hb, cb, n_vars)
+            inv = Fraction(1) / det.constant_value()
+            V = EnvMatrix([[Env.from_poly(p * inv) for p in row] for row in _poly_adjugate(pm)])
     if V is None:
-        return InversionResult("unknown", None, exhausted, box)
+        n_vars = max(n, depend._infer_n([u for row in J.entries for u in row]))
+        box = _fit_box(n, n_vars, hdeg_bound, coeff_deg_bound, depend.BOX_BUDGET)
+        if box is None:
+            return InversionResult("unknown", None, None)
+        V = _search_box(J, *box, n_vars)
+        if V is None:
+            return InversionResult("unknown", None, box)
     ident = identity_matrix(n)
     if mat_mul(V, J) != ident:
-        raise AssertionError("solved left inverse failed verification")
+        raise AssertionError("left inverse failed verification")
     if mat_mul(J, V) != ident:
-        return InversionResult("unknown", None, exhausted, box)
-    return InversionResult("invertible", V, exhausted, box)
+        return InversionResult("unknown", None, box)
+    return InversionResult("invertible", V, box)
 
 
 class PairStatus(NamedTuple):
@@ -306,30 +288,33 @@ def _normalize_pair(lam, mu):
     return lam, mu
 
 
-def pair_status(f, g, max_steps=100_000):
+def pair_status(f, g):
     """Classify a pair: free when the bracket is nonzero, else dependent.
 
     On the dependent branch lam, mu in P with lam * ham(f) = mu * ham(g)
-    are the polynomial parts of the verified witness (lam, -mu) that
-    depend.decide_left_dependence gives for (ham(f), ham(g)), normalized;
-    the witness is attached too.  That witness is always polynomial: if
-    {f, g} = 0 and neither is constant, then f, g lie in k[a] for one a
+    are normalized from the polynomial witness (lam, -mu), attached too.
+    If {f, g} = 0 and neither is constant, then f, g lie in k[a] for one a
     (the centralizer theorem, Makar-Limanov and Umirbaev, Proc. AMS 135,
     2007), so ham(f) = F'(a)*ham(a) and ham(g) = G'(a)*ham(a) share the
-    leading word of ham(a), and the first reduction, row 0 by row 1 with
-    t = (), gives zero with a witness of h-degree 0.  A constant input
-    gives a unit witness.  A witness that is not polynomial raises
-    AssertionError.
+    leading word of ham(a), and one reduction step (depend._step, t = ())
+    gives a*ham(f) - b*ham(g) = 0: that exact zero is the certificate of
+    the witness (a, -b).  A constant input has ham 0 and gives a unit
+    witness, (1, 0) when ham(f) = 0, else (0, 1).  Different leading
+    words or a nonzero row raise AssertionError.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("pair_status requires nonzero inputs")
     if not poisson.p_bracket(f, g).is_zero():
         return PairStatus("free", None, None, None)
-    verdict = depend.decide_left_dependence([ham(f), ham(g)], max_steps=max_steps)
-    if verdict.status != "dependent":
-        raise AssertionError("vanishing bracket must force dependence")
-    (lam, rest_f), (neg_mu, rest_g) = map(split, verdict.witness)
-    if not (rest_f.is_zero() and rest_g.is_zero()):
-        raise AssertionError("commuting pair with a witness that is not polynomial")
-    lam, mu = _normalize_pair(lam, -neg_mu)
-    return PairStatus("dependent", lam, mu, verdict.witness)
+    u, v = ham(f), ham(g)
+    if u.is_zero() or v.is_zero():
+        a, b = (Poly.one(), Poly.zero()) if u.is_zero() else (Poly.zero(), -Poly.one())
+    else:
+        w = ldm(u)
+        if ldm(v) != w:
+            raise AssertionError("commuting pair with different leading words")
+        a, b, _, row, _ = depend._step(u, w, v, w)
+        if not row.is_zero():
+            raise AssertionError("one reduction step must relate a commuting pair")
+    lam, mu = _normalize_pair(a, b)
+    return PairStatus("dependent", lam, mu, (Env.from_poly(a), Env.from_poly(-b)))

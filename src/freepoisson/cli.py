@@ -129,7 +129,7 @@ def _cmd_pair_status(args):
     g = parse_element(args.g, args.n, "poisson")
     if f.is_zero() or g.is_zero():
         raise DomainError("pair-status requires nonzero f and g")
-    ps = calculus.pair_status(f, g, max_steps=args.max_steps)
+    ps = calculus.pair_status(f, g)
     obj = {"status": ps.status}
     if ps.status == "dependent":
         obj["lambda"] = syntax.render(ps.lam)
@@ -274,7 +274,7 @@ def run(argv):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except BudgetError as exc:
+    except BudgetError as exc:  # depend's --max-steps, the oracle's box, an exponent limit
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
 

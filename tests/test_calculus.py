@@ -131,7 +131,7 @@ def test_invert_triangular_map():
     J = jacobian(Endomorphism(2, [X1, X2 + X1 * X1]))
     res = invert_jacobian_bounded(J, 3, 6)
     assert res.status == "invertible"
-    assert res.exhausted
+    assert res.box == (3, 6)
     assert res.V == EnvMatrix(
         [
             [Env.one(), Env.zero()],
@@ -150,8 +150,19 @@ def test_invert_elementary_product_with_rational_entries():
     v = Env.from_poly(Fraction(-5, 7) * X2)
     J = EnvMatrix([[one + env_mul(u, v), u], [v, one]])
     res = invert_jacobian_bounded(J, 3, 6)
-    assert res.status == "invertible" and res.exhausted
+    assert res.status == "invertible" and res.box == (3, 6)
     assert res.V == EnvMatrix([[one, -u], [-v, one + env_mul(v, u)]])
+
+
+def test_invert_searches_letters_of_coefficients():
+    # x3 occurs only in a coefficient; the inverse [[1, -h(x1)], [-x3,
+    # 1 + x3*h(x1)]] lies in the box (1, 1) over the letters x1..x3
+    one, u, v = Env.one(), H1, Env.from_poly(Poly.generator(3))
+    J = EnvMatrix([[one + env_mul(u, v), u], [v, one]])
+    for bounds in ((1, 1), (3, 6)):
+        res = invert_jacobian_bounded(J, *bounds)
+        assert (res.status, res.box) == ("invertible", bounds)
+        assert res.V == EnvMatrix([[one, -u], [-v, one + env_mul(v, u)]])
 
 
 def test_invert_random_tame_maps():
@@ -169,7 +180,7 @@ def test_invert_non_automorphism_is_unknown():
     J = jacobian(Endomorphism(2, [X1 * X1, X2]))
     res = invert_jacobian_bounded(J, 3, 6)
     assert res.status == "unknown"
-    assert res.exhausted and res.box == (3, 6)
+    assert res.box == (3, 6)
     assert res.V is None
     with pytest.raises(ValueError):
         invert_jacobian_bounded(J, -1, 2)
@@ -181,13 +192,13 @@ def test_invert_shrinks_the_box_by_counting(monkeypatch):
     J = jacobian(Endomorphism(2, [X1 * X1, X2]))
     monkeypatch.setattr(depend, "BOX_BUDGET", 2000)
     res = invert_jacobian_bounded(J, 3, 24)
-    assert (res.status, res.exhausted, res.box) == ("unknown", False, (3, 4))
+    assert (res.status, res.box) == ("unknown", (3, 4))
     monkeypatch.setattr(depend, "BOX_BUDGET", 100)
     res = invert_jacobian_bounded(J, 10**9, 10**9)
-    assert (res.status, res.exhausted, res.box) == ("unknown", False, (1, 2))
+    assert (res.status, res.box) == ("unknown", (1, 2))
     # below the size of the box (0, 0) nothing is searched
     monkeypatch.setattr(depend, "BOX_BUDGET", 3)
-    assert invert_jacobian_bounded(J, 3, 24) == ("unknown", None, False, None)
+    assert invert_jacobian_bounded(J, 3, 24) == ("unknown", None, None)
 
 
 def two_sided_search(J, hb, cb, n_vars):
@@ -268,7 +279,7 @@ def test_left_search_matches_the_two_sided_search(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(calculus, "_search_box", reference)
             want = invert_jacobian_bounded(J, hb, cb)
-        assert (got.status, got.V, got.exhausted) == (want.status, want.V, want.exhausted)
+        assert got == want
         statuses.append(got.status)
     # every case reaches the box search, and both outcomes occur
     assert len(searched) == len(cases)
@@ -280,6 +291,18 @@ def test_a_wrong_left_inverse_raises(monkeypatch):
     monkeypatch.setattr(calculus, "_search_box", lambda *args: identity_matrix(2))
     with pytest.raises(AssertionError):
         invert_jacobian_bounded(J, 1, 1)
+
+
+def test_a_left_inverse_that_is_not_right_is_unknown(monkeypatch):
+    # on these inputs J*V = I holds, so the product J*V is made to miss I:
+    # the V of either path, adjugate or box search, is then "unknown"
+    product = calculus.mat_mul
+    elementary = EnvMatrix([[Env.one() + env_mul(H1, Env.from_poly(X2)), H1], [Env.from_poly(X2), Env.one()]])
+    for J in (jacobian(Endomorphism(2, [X1, X2 + X1 * X1])), elementary):
+        assert invert_jacobian_bounded(J, 1, 1).status == "invertible"
+        with monkeypatch.context() as m:
+            m.setattr(calculus, "mat_mul", lambda a, b, J=J: J if a is J else product(a, b))
+            assert invert_jacobian_bounded(J, 1, 1) == ("unknown", None, (1, 1))
 
 
 def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
@@ -451,7 +474,8 @@ def test_pair_status_on_lie_elements():
 def test_pair_status_witness_in_k_a_is_polynomial():
     # Commuting f, g lie in one k[a], so ham(f) and ham(g) share the leading
     # word of ham(a), and the first reduction leaves a witness of h-degree 0;
-    # a constant input gives a unit witness.
+    # a constant input gives a unit witness.  The decision procedure on the
+    # two Hamiltonians is the reference: at most one step, the same witness.
     rng = random.Random(101)
     constant = bracket_words = 0
     for r in range(220):
@@ -469,4 +493,6 @@ def test_pair_status_witness_in_k_a_is_polynomial():
         assert ps.lam is not None and ps.mu is not None
         assert ps.lam * ham(f) == ps.mu * ham(g)
         assert all(set(w.terms) <= {()} for w in ps.witness)
+        ref = depend.decide_left_dependence([ham(f), ham(g)])
+        assert len(ref.trace) <= 1 and ref.witness == ps.witness
     assert constant == 22 and bracket_words > 20

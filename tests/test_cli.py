@@ -146,6 +146,12 @@ def test_pair_status():
         "",
     )
     assert cap(["pair-status", "-n", "2", "x1", "x2"]) == (0, '{"status":"free"}\n', "")
+    # one reduction step decides a commuting pair, so no step budget applies
+    assert cap(["pair-status", "-n", "1", "--max-steps", "0", "x1", "x1^2"]) == (
+        0,
+        '{"status":"dependent","lambda":"2*x1","mu":"1"}\n',
+        "",
+    )
 
 
 def test_quantization_commands():
