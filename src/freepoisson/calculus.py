@@ -137,8 +137,9 @@ def _poly_det(m):
     acc = Poly.zero()
     sign = 1
     for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        acc = acc + sign * (m[0][j] * _poly_det(minor))
+        if not m[0][j].is_zero():  # a zero entry adds nothing: skip its minor
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            acc = acc + sign * (m[0][j] * _poly_det(minor))
         sign = -sign
     return acc
 

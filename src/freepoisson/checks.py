@@ -222,7 +222,7 @@ def check_jacobian_inversion(rng, fail):
     bad = calculus.Endomorphism(2, [Poly.generator(1) ** 2, Poly.generator(2)])
     res = calculus.invert_jacobian_bounded(calculus.jacobian(bad), 3, 6)
     if res.status != "unknown" or res.box != (3, 6):
-        fail("square example not reported unknown/exhausted")
+        fail("square example not unknown at the full box")
     return "30 tame maps at bounds (3, 12) + 1 unknown"
 
 

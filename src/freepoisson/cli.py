@@ -96,6 +96,8 @@ def _cmd_jacobian(args):
 
 
 def _cmd_depend(args):
+    if args.max_steps < 0:
+        raise DomainError(f"--max-steps must be nonnegative, got {args.max_steps}")
     elems = [parse_element(s, args.n, "env") for s in args.elements]
     if args.oracle:
         _check_bounds(args)
@@ -151,19 +153,19 @@ def _cmd_check(args):
 
 
 def _build_parser():
-    base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--format", choices=("text", "json"), default="text")
-    base.add_argument("--seed", type=int, default=None)
-    base.add_argument("--max-steps", type=int, default=100_000)
-    common = argparse.ArgumentParser(add_help=False, parents=[base])
-    common.add_argument("-n", type=int, required=True, help="number of x-variables")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    steps = argparse.ArgumentParser(add_help=False)
+    steps.add_argument("--max-steps", type=int, default=100_000)
+    count = argparse.ArgumentParser(add_help=False)
+    count.add_argument("-n", type=int, required=True, help="number of x-variables")
 
     top = argparse.ArgumentParser(prog="fpa", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_apply(rows):
         for name, summary, mode, operands, module, function in rows:
-            p = sub.add_parser(name, parents=[common], help=summary)
+            p = sub.add_parser(name, parents=[fmt, count], help=summary)
             if mode is None:
                 p.add_argument("--mode", choices=("poisson", "env", "symplectic", "weyl"), default="env")
             for operand in operands:
@@ -173,34 +175,34 @@ def _build_parser():
     # help lists the subcommands in the order they are added here
     add_apply(_APPLY[:3])
 
-    p = sub.add_parser("fox", parents=[common], help="partial derivative into the enveloping algebra")
+    p = sub.add_parser("fox", parents=[fmt, count], help="partial derivative into the enveloping algebra")
     p.add_argument("expr")
     p.add_argument("index", type=int)
     p.set_defaults(func=_cmd_fox)
 
-    p = sub.add_parser("jacobian", parents=[common], help="Jacobian matrix of an endomorphism")
+    p = sub.add_parser("jacobian", parents=[fmt, count], help="Jacobian matrix of an endomorphism")
     p.add_argument("images", nargs="+")
     p.add_argument("--invert", action="store_true")
     p.add_argument("--hdeg-bound", type=int, default=3)
     p.add_argument("--coeff-bound", type=int, default=6)
     p.set_defaults(func=_cmd_jacobian)
 
-    p = sub.add_parser("depend", parents=[common], help="decide left dependence")
+    p = sub.add_parser("depend", parents=[steps, count], help="decide left dependence")
     p.add_argument("elements", nargs="+")
     p.add_argument("--oracle", action="store_true", help="bounded brute-force search")
     p.add_argument("--hdeg-bound", type=int, default=2)
     p.add_argument("--coeff-bound", type=int, default=2)
     p.set_defaults(func=_cmd_depend)
 
-    p = sub.add_parser("pair-status", parents=[common], help="classify a pair as free or dependent")
+    p = sub.add_parser("pair-status", parents=[count], help="classify a pair as free or dependent")
     p.add_argument("f")
     p.add_argument("g")
     p.set_defaults(func=_cmd_pair_status)
 
     add_apply(_APPLY[3:])
 
-    p = sub.add_parser("check", parents=[base], help="run property suites")
-    p.add_argument("-n", type=int, help="ignored: each suite draws its own n")
+    p = sub.add_parser("check", help="run property suites")
+    p.add_argument("--seed", type=int, default=None, help="seed of every suite (default: each suite's own seed)")
     p.add_argument("suites", nargs="*")
     p.set_defaults(func=_cmd_check)
 
@@ -221,11 +223,11 @@ def _expressions_last(parser, argv):
     unknown option.  An argument of a subcommand that starts with a
     single "-" and is not one of its options is an expression; when one
     occurs before any "--", the options are put first and every
-    positional argument, in order, after "--".  Other argument lists are
-    returned unchanged.
+    positional argument, in order, after "--".  Other argument lists, and
+    those of check (suite names, never expressions), are returned as given.
     """
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    cmd = sub.choices.get(argv[0]) if argv else None
+    cmd = sub.choices.get(argv[0]) if argv and argv[0] != "check" else None
     if cmd is None:
         return argv
     takes_value = {s: a.nargs != 0 for a in cmd._actions for s in a.option_strings}
@@ -254,8 +256,6 @@ def _expressions_last(parser, argv):
 def _check_counts(args):
     if args.command != "check" and args.n < 1:
         raise DomainError(f"-n must be at least 1, got {args.n}")
-    if args.max_steps < 0:
-        raise DomainError(f"--max-steps must be nonnegative, got {args.max_steps}")
 
 
 def run(argv):

@@ -10,6 +10,7 @@ juxtaposition is not multiplication):
               | "[" expr "," expr "]" | "h" "(" expr ")"
     var      := ("x"|"y") nat
     rational := "-"? nat ("/" nat)?
+    nat      := [0-9]+          (ASCII digits only: "x²" is an error)
 
 "[a,b]" is accepted as a synonym for the bracket "{a,b}" so that
 rendered basis elements such as "[x1,[x1,x2]]" parse back to themselves.
@@ -20,6 +21,7 @@ BudgetError.  Rendering is deterministic and parseable: every
 value satisfies parse(render(v)) = v in its own mode.
 """
 
+import re
 from fractions import Fraction
 
 from . import env, freelie, poisson, symplectic
@@ -48,41 +50,24 @@ def _linecol(src, pos):
     return line, pos - last
 
 
+# after whitespace: a nat, a variable letter and its index, an operator, h or an error
+_TOKEN = re.compile(r"\s*((?P<num>[0-9]+)|(?P<var>[xy])(?P<idx>[0-9]*)|[h+\-*/^(){}\[\],]|(?P<bad>\S))")
+
+
 def tokenize(src):
     tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(("num", int(src[i:j]), i))
-            i = j
-            continue
-        if c in "xy":
-            j = i + 1
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            if j == i + 1:
-                line, col = _linecol(src, i)
-                raise ParseError(f"variable index expected after {c!r}", line, col)
-            tokens.append(("var", (c, int(src[i + 1 : j])), i))
-            i = j
-            continue
-        if c == "h":
-            tokens.append(("h", None, i))
-            i += 1
-            continue
-        if c in "+-*/^(){}[],":
-            tokens.append((c, None, i))
-            i += 1
-            continue
-        line, col = _linecol(src, i)
-        raise ParseError(f"unexpected character {c!r}", line, col)
+    for m in _TOKEN.finditer(src):
+        i, text = m.start(1), m[1]
+        if m["num"]:
+            tokens.append(("num", int(text), i))
+        elif m["var"] and m["idx"]:
+            tokens.append(("var", (m["var"], int(m["idx"])), i))
+        elif m["var"]:
+            raise ParseError(f"variable index expected after {text!r}", *_linecol(src, i))
+        elif m["bad"]:
+            raise ParseError(f"unexpected character {text!r}", *_linecol(src, i))
+        else:
+            tokens.append((text, None, i))
     tokens.append(("eof", None, len(src)))
     return tokens
 

@@ -146,12 +146,10 @@ def test_pair_status():
         "",
     )
     assert cap(["pair-status", "-n", "2", "x1", "x2"]) == (0, '{"status":"free"}\n', "")
-    # one reduction step decides a commuting pair, so no step budget applies
-    assert cap(["pair-status", "-n", "1", "--max-steps", "0", "x1", "x1^2"]) == (
-        0,
-        '{"status":"dependent","lambda":"2*x1","mu":"1"}\n',
-        "",
-    )
+    # one reduction step decides a commuting pair, so it takes no step budget
+    code, out, err = cap(["pair-status", "-n", "1", "--max-steps", "0", "x1", "x1^2"])
+    assert (code, out) == (2, "") and "unrecognized arguments: --max-steps" in err
+    assert "Traceback" not in err
 
 
 def test_quantization_commands():
@@ -180,6 +178,8 @@ def test_exit_codes():
     # parse error
     code, out, err = cap(["bracket", "-n", "2", "{x1,"])
     assert code == 1 and out == "" and err
+    code, out, err = cap(["bracket", "-n", "1", "x1^\u00b2"])  # a digit, but not ASCII
+    assert (code, out) == (1, "") and err == "parse error: unexpected character '\u00b2' (line 1, col 4)\n"
     # domain error
     code, out, err = cap(["bracket", "-n", "2", "x5"])
     assert code == 2 and out == "" and err
@@ -199,11 +199,14 @@ def test_out_of_range_inputs_are_domain_errors():
         ["symmetrize", "-n", "-1", "1"],
         ["mul", "-n", "0", "1", "1"],
         ["depend", "-n", "1", "--max-steps", "-1", "h(x1)", "x1*h(x1)"],
-        ["pair-status", "-n", "1", "--max-steps", "-1", "x1", "x1^2"],
+        ["depend", "-n", "1", "--max-steps", "-1", "--oracle", "h(x1)", "x1*h(x1)"],
     ):
         code, out, err = cap(argv)
         assert code == 2 and out == "", argv
         assert err.startswith("domain error:") and "Traceback" not in err, argv
+    # pair-status takes no --max-steps at all: a usage error
+    code, out, err = cap(["pair-status", "-n", "1", "--max-steps", "-1", "x1", "x1^2"])
+    assert (code, out) == (2, "") and err.startswith("usage:") and "Traceback" not in err
 
 
 def test_expressions_starting_with_minus():
@@ -303,12 +306,49 @@ def test_tracer_finds_every_traced_module_after_importing_the_cli():
 
 
 def test_check_command():
-    code, out, err = cap(["check", "-n", "2", "graded-top"])
+    code, out, err = cap(["check", "graded-top"])
     assert code == 0
     assert out.startswith("ok   graded-top:")
-    assert cap(["check", "graded-top"]) == (code, out, err)  # -n is optional
-    code, out, err = cap(["check", "-n", "2", "no-such-suite"])
+    code, out, err = cap(["check", "no-such-suite"])
     assert code == 2 and err
+    # each suite draws its own n, so check takes no -n
+    code, out, err = cap(["check", "-n", "2", "graded-top"])
+    assert (code, out) == (2, "") and err.startswith("usage:") and "Traceback" not in err
+
+
+# The options each subcommand takes (besides -h); every other option of
+# fpa is a usage error there.
+FORMATTED = {"--format", "-n"}
+OPTIONS = {
+    "bracket": FORMATTED,
+    "mul": FORMATTED | {"--mode"},
+    "ham": FORMATTED,
+    "fox": FORMATTED,
+    "jacobian": FORMATTED | {"--invert", "--hdeg-bound", "--coeff-bound"},
+    "depend": {"--max-steps", "-n", "--oracle", "--hdeg-bound", "--coeff-bound"},
+    "pair-status": {"-n"},
+    "moyal": FORMATTED,
+    "symmetrize": FORMATTED,
+    "theta-left": FORMATTED,
+    "theta-right": FORMATTED,
+    "weyl-mul": FORMATTED,
+    "check": {"--seed"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)
+    for name, parser in sub.choices.items():
+        taken = {s for a in parser._actions for s in a.option_strings[-1:] if s != "--help"}
+        assert taken == OPTIONS[name], name
+    value = {"--format": "json", "--mode": "env", "--seed": "1"}
+    for name in OPTIONS:
+        for option in sorted(set().union(*OPTIONS.values()) - OPTIONS[name]):
+            argv = [name, option, value.get(option, "1")] + ["-n", "1"] * (name != "check") + ["x1"]
+            code, out, err = cap(argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage:") and "Traceback" not in err, argv
 
 
 def test_installed_entry_point():
@@ -354,6 +394,15 @@ def test_golden_transcript_in_a_fresh_process(case):
     # with all of them unexecuted, as each fpa call does
     proc = fresh("-m", "freepoisson.cli", *case["argv"])
     assert (proc.returncode, proc.stdout) == (case["exit"], case["stdout"]), proc.stderr
+
+
+def test_identity_jacobian_of_twelve_variables_is_inverted_at_once():
+    # a cofactor expansion that also expanded the minors of zero entries
+    # would take factorial time here
+    names = [f"x{i}" for i in range(1, 13)]
+    proc = fresh("-m", "freepoisson.cli", "jacobian", "-n", "12", "--invert", *names, timeout=10)
+    rows = ["[" + ", ".join("1" if i == j else "0" for j in range(12)) + "]" for i in range(12)]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n".join(rows) + "\n", "")
 
 
 def test_oracle_over_budget_is_undecided():

@@ -1,7 +1,8 @@
 """Fuzz tests drawn by hypothesis: parse(render(v)) == v in all four
 modes, for drawn elements and for the products made of them, and
-`cli.run` on grammar-drawn argv, which must end in a documented exit
-code (0, 1, 2 or 3) without raising."""
+`cli.run` on drawn argv (grammar-drawn expressions, arbitrary text and
+any option of any subcommand), which must end in a documented exit code
+(0, 1, 2 or 3) without raising."""
 
 import contextlib
 import io
@@ -120,35 +121,59 @@ MODES = {
 }
 
 
+# Every option of fpa with a few values each, the bounds small enough that
+# a search stays short.  Drawn on any subcommand, whether it takes the
+# option or not.
+OPTIONS = {
+    "-n": ["-1", "0", "1", "2", "x1"],
+    "--format": ["text", "json", "xml"],
+    "--mode": ["poisson", "env", "symplectic", "weyl"],
+    "--max-steps": ["-1", "0", "3"],
+    "--seed": ["0", "7"],
+    "--hdeg-bound": ["-1", "0", "1"],
+    "--coeff-bound": ["-1", "0", "1"],
+    "--invert": [],
+    "--oracle": [],
+}
+# the grammar's characters, digits that are not ASCII, and any other character
+TEXT = st.text(st.sampled_from("0123456789xyh+-*/^(){}[], ") | st.sampled_from("\u00b2\u00b3\u0661\u0663") | st.characters(), max_size=8)
+
+
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(sorted(MODES) + ["mul", "jacobian"]))
+    command = draw(st.sampled_from(sorted(MODES) + ["mul", "jacobian", "check"]))
+    # one call in three has one or two options drawn from OPTIONS
+    extra = []
+    if draw(st.integers(0, 2)) == 0:
+        for option in draw(st.lists(st.sampled_from(sorted(OPTIONS)), min_size=1, max_size=2)):
+            values = OPTIONS[option]
+            extra += [option, draw(st.sampled_from(values))] if values else [option]
+    if command == "check":
+        return [command] + extra + draw(st.lists(st.sampled_from(["graded-top", "weyl-relations", "no-such-suite"]), min_size=1, max_size=2))
     # one call in ten has -n 0 or variable indices up to n + 1
     n, k = draw(st.sampled_from([(1, 1), (2, 2)] * 9 + [(0, 1), (1, 2)]))
-    argv = [command, "-n", str(n)]
-    if draw(st.booleans()):
+    argv = [command] + extra + ["-n", str(n)]
+    if command not in ("depend", "pair-status") and draw(st.booleans()):
         argv += ["--format", "json"]
     if command == "mul":
         mode = draw(st.sampled_from(["poisson", "env", "symplectic", "weyl"]))
         argv += ["--mode", mode]
         modes = [mode, mode]
     elif command == "jacobian":
-        if draw(st.booleans()):
-            argv += ["--invert", "--hdeg-bound", "1", "--coeff-bound", "1"]
+        argv += ["--invert"] * draw(st.booleans()) + ["--hdeg-bound", "1", "--coeff-bound", "1"]
         modes = ["poisson"] * draw(st.sampled_from([k] * 9 + [k + 1]))
     else:
         modes = MODES[command]
-    if command in ("depend", "pair-status"):
-        argv += ["--max-steps", "3"]
-    if command == "depend" and draw(st.booleans()):
-        argv += ["--oracle", "--hdeg-bound", "1", "--coeff-bound", "1"]
-    argv += [draw(expressions(mode, k))[0] for mode in modes]
+    if command == "depend":
+        argv += ["--max-steps", "3"] + ["--oracle"] * draw(st.booleans()) + ["--hdeg-bound", "1", "--coeff-bound", "1"]
+    # one operand in three is arbitrary text
+    argv += [draw(TEXT) if draw(st.integers(0, 2)) == 0 else draw(expressions(mode, k))[0] for mode in modes]
     if command == "fox":
         argv.append(str(draw(st.integers(0, k + 1))))
     return argv
 
 
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(argvs())
 def test_cli_run_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()

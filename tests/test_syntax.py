@@ -78,6 +78,25 @@ def test_parse_errors():
         parse_element("x1", 2, "lie")
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x1^\u00b2", "unexpected character '\u00b2' (line 1, col 4)"),
+        ("x\u00b2", "variable index expected after 'x' (line 1, col 1)"),
+        ("\u00b2", "unexpected character '\u00b2' (line 1, col 1)"),
+        ("x1\u00b2", "unexpected character '\u00b2' (line 1, col 3)"),
+        ("x\u0661", "variable index expected after 'x' (line 1, col 1)"),
+        ("x1 +\n  \u0661", "unexpected character '\u0661' (line 2, col 3)"),
+    ],
+)
+def test_digits_are_ascii(src, message):
+    # str.isdigit is true for superscripts and Arabic-Indic digits; only
+    # 0-9 are digits of the grammar
+    with pytest.raises(ParseError) as info:
+        parse_element(src, 2, "poisson")
+    assert str(info.value) == message
+
+
 def test_render_known_strings():
     assert render(p_bracket(X1, X2 * X3)) == "[x1,x2]*x3 + x2*[x1,x3]"
     assert render(Poly.from_lie(Lie.basis_element((1, 1, 2)))) == "[x1,[x1,x2]]"
