@@ -78,12 +78,12 @@ def __dir__():
 
 
 def clear_caches():
-    """Empty the bracket cache of `freelie`, the one table of the package
-    that grows across calls.  Results do not depend on it.  Returns its
-    size before clearing, as {"bracket": int}.
+    """Empty the bracket table of `freelie`, the one (bounded) table of the
+    package that lives across calls.  Results do not depend on it.
+    Returns its size before clearing, as {"bracket": int}.
     """
-    sizes = {"bracket": len(freelie._BRACKET_CACHE)}
-    freelie._BRACKET_CACHE.clear()
+    sizes = {"bracket": freelie._basis_bracket.cache_info().currsize}
+    freelie._basis_bracket.cache_clear()
     return sizes
 
 

@@ -70,8 +70,7 @@ def _matrix_out(args, mat):
         rows = [[syntax.to_json(e) for e in row] for row in mat.entries]
         print(_dumps({"rows": rows}))
     else:
-        for row in mat.entries:
-            print("[" + ", ".join(syntax.render(e) for e in row) + "]")
+        print("\n".join("[" + ", ".join(syntax.render(e) for e in row) + "]" for row in mat.entries))
     return 0
 
 
@@ -274,7 +273,7 @@ def run(argv):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except BudgetError as exc:  # depend's --max-steps, the oracle's box, an exponent limit
+    except BudgetError as exc:  # depend's --max-steps, the oracle's box, an exponent or digit limit
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
 

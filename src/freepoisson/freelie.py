@@ -12,6 +12,7 @@ of the test oracle `lie_bracket_oracle`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import SCALARS, Terms, accumulate, graded_lex_key
 
@@ -112,10 +113,11 @@ class Lie(Terms):
         return "Lie(" + " + ".join(bits) + ")"
 
 
-_BRACKET_CACHE = {}
-_IN_PROGRESS = object()
+# Far above the 2,884 pairs (either order) that all the property suites bracket.
+_BRACKET_TABLE_SIZE = 1 << 16
 
 
+@lru_cache(maxsize=_BRACKET_TABLE_SIZE)
 def _basis_bracket(u, v):
     """Bracket of two basis words, expanded over the Lyndon basis.
 
@@ -124,35 +126,22 @@ def _basis_bracket(u, v):
     the bracket is a basis element; otherwise u has length >= 2 and its
     standard factorization (u1, u2) satisfies u2 < v, so the Jacobi
     identity [u1u2, v] = [u1, [u2, v]] - [u2, [u1, v]] applies, with
-    both inner brackets of strictly smaller degree.
+    both inner brackets of strictly smaller degree.  The results, kept in
+    a bounded table, must not be mutated.
     """
     if u == v:
         return {}
     if u > v:
         return {w: -c for w, c in _basis_bracket(v, u).items()}
-    key = (u, v)
-    hit = _BRACKET_CACHE.get(key)
-    if hit is _IN_PROGRESS:
-        raise AssertionError(f"bracket rewriting cycled on {key}")
-    if hit is not None:
-        return hit
-    _BRACKET_CACHE[key] = _IN_PROGRESS
-    try:
-        w = u + v
-        if standard_factorization(w) == (u, v):
-            out = {w: Fraction(1)}
-        else:
-            u1, u2 = standard_factorization(u)
-            out = {}
-            for z, c in _basis_bracket(u2, v).items():
-                accumulate(out, _basis_bracket(u1, z).items(), c)
-            for z, c in _basis_bracket(u1, v).items():
-                accumulate(out, _basis_bracket(u2, z).items(), -c)
-    except BaseException:
-        # an interrupted rewrite must not leave its marker behind
-        del _BRACKET_CACHE[key]
-        raise
-    _BRACKET_CACHE[key] = out
+    w = u + v
+    if standard_factorization(w) == (u, v):
+        return {w: Fraction(1)}
+    u1, u2 = standard_factorization(u)
+    out = {}
+    for z, c in _basis_bracket(u2, v).items():
+        accumulate(out, _basis_bracket(u1, z).items(), c)
+    for z, c in _basis_bracket(u1, v).items():
+        accumulate(out, _basis_bracket(u2, z).items(), -c)
     return out
 
 

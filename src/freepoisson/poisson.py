@@ -7,7 +7,8 @@ extended to products by the Leibniz rule, over the factors that
 `partials` gives.  A monomial is stored as a tuple of (word, exponent)
 pairs sorted by the basis order (degree, then lex on the word).
 `mono_key` states the canonical monomial order: every leading term and
-every display order is taken in it.
+every display order is taken in it.  `p_gcd` is the heuristic gcd of
+Char, Geddes and Gonnet, retried at larger points until it divides both.
 """
 
 import heapq
@@ -123,11 +124,7 @@ class Poly(Terms):
 
     def variables(self):
         """The set of basis words occurring in the support."""
-        out = set()
-        for m in self.terms:
-            for w, _ in m:
-                out.add(w)
-        return out
+        return {w for m in self.terms for w, _ in m}
 
     def __repr__(self):
         if not self.terms:
@@ -270,112 +267,35 @@ def divexact(a, b):
     return _from_exponents(words, quo)
 
 
-def _degrees(p):
-    """The largest exponent of each basis word in p."""
-    return {w: max(e for m in p.terms for v, e in m if v == w) for w in p.variables()}
-
-
-def _deg(f, k):
-    return max(e[k] for e in f)
-
-
-def _coeff(f, k, j, at=0):
-    """The coefficient of x_k^j in f, times x_k^at."""
-    return {e[:k] + (at,) + e[k + 1 :]: c for e, c in f.items() if e[k] == j}
-
-
-def _is_unit(f):
-    return len(f) == 1 and not any(next(iter(f)))
-
-
-def _mul(f, g, out=None, sign=1):
-    """out + sign * f * g for integer polynomials; out is updated in place."""
-    out = {} if out is None else out
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + sign * c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def _prem(f, g, k):
-    """A pseudo-remainder of f by g in x_k: lc(g)^j f - q g of lower degree."""
-    d = _deg(g, k)
-    lc = _coeff(g, k, d)
-    while f and _deg(f, k) >= d:
-        df = _deg(f, k)
-        f = _mul(_coeff(f, k, df, df - d), g, _mul(lc, f), -1)
-    return f
-
-
-def _content(f, k):
-    """(content, primitive part) of an integer polynomial f in x_k over
-    Z[x_(k+1), ...]: the content is primitive, and the primitive part has
-    a positive leading coefficient."""
-    g = math.gcd(*f.values())
-    if f[max(f)] < 0:
-        g = -g
-    f = {e: c // g for e, c in f.items()}
-    cont = None
-    for p in sorted((_coeff(f, k, j) for j in {e[k] for e in f}), key=len):
-        cont = p if cont is None else _igcd(cont, p, k + 1)
-        if _is_unit(cont):
-            return cont, f
-    return cont, _divide(dict(f), cont, _iquot)
-
-
-def _igcd(f, g, k):
-    """The gcd of nonzero integer polynomials in x_k, x_(k+1), ..., up to
-    an integer factor: contents recursively, then a primitive
-    pseudo-remainder sequence in x_k."""
-    if _is_unit(f) or _is_unit(g):
-        return {(0,) * len(next(iter(f))): 1}
-    cf, f = _content(f, k)
-    cg, g = _content(g, k)
-    c = _igcd(cf, cg, k + 1)
-    if _deg(f, k) < _deg(g, k):
-        f, g = g, f
-    while _deg(g, k):
-        r = _prem(f, g, k)
-        if not r:
-            return _mul(c, g)
-        f, g = g, _content(r, k)[1]
-    return c
-
-
 def _heu_gcd(f, g, k):
     """The gcd of nonzero integer polynomials in x_k, x_(k+1), ..., up to
-    sign, or None: the heuristic gcd of Char, Geddes and Gonnet.  With
-    their common integer content taken out, the gcd of the values at
-    x_k = xi (xi at least twice the smaller largest coefficient, plus 2)
-    is expanded in powers of xi; by their theorem, the primitive part of
-    that expansion is the gcd if it divides both inputs.  Six points are
-    tried before giving up, and a failure at an inner level ends the
-    whole attempt at once, so that at most six points per level are
-    evaluated before the caller falls back.
+    sign, by the heuristic gcd of Char, Geddes and Gonnet (J. Symbolic
+    Comput. 7, 1989): with the integer content taken out, the gcd of the
+    values at x_k = xi, found one level down, is expanded in powers of xi,
+    and its primitive part is accepted once it divides both inputs; until
+    then xi grows.  By their theorem an accepted candidate is the gcd, as
+    xi > 2 min(|f|, |g|) + 2.  The loop ends: with f = G A, g = G B, A and
+    B coprime, the inner gcd at xi is G(xi) D, D = gcd(A(xi), B(xi)), and
+    D divides Res_(x_k)(A, B), which does not depend on xi.  A factor of
+    it that divided A(xi) and B(xi) for infinitely many xi would divide A
+    and B, so for all but finitely many xi, D is an integer dividing the
+    resultant's content.  Past twice the largest coefficient of D G the
+    expansion is D G, whose primitive part G divides both inputs.
     """
     cont = math.gcd(*f.values(), *g.values())
     if k == len(next(iter(f))):
         return {next(iter(f)): cont}
     f, g = ({e: c // cont for e, c in p.items()} for p in (f, g))
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
-    for _ in range(6):
+    while True:
         ff, gg = _eval(f, k, xi), _eval(g, k, xi)
         if ff and gg:
-            h = _heu_gcd(ff, gg, k + 1)
-            if h is None:
-                return None
-            h = _expand(h, k, xi)
+            h = _expand(_heu_gcd(ff, gg, k + 1), k, xi)
             d = math.gcd(*h.values())
             h = {e: c // d for e, c in h.items()}
             if _divide(dict(f), h, _iquot) is not None and _divide(dict(g), h, _iquot) is not None:
                 return {e: cont * c for e, c in h.items()}
         xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
 
 
 def _eval(f, k, xi):
@@ -409,10 +329,7 @@ def p_gcd(a, b):
     in them.  Their monomial contents are split off (the gcd of two
     monomials takes the smaller exponent per word).  When a primitive
     part is a single term the gcd is that monomial; otherwise the
-    heuristic gcd gives the rest, or, if it fails, the remainder
-    sequence.  Words that occur in one input only come first, so that
-    taking contents removes them before a remainder sequence runs; the
-    others follow by degree.
+    heuristic gcd `_heu_gcd` gives the rest.
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -422,8 +339,7 @@ def p_gcd(a, b):
         return a.monic()
     if a.is_constant() or b.is_constant():
         return Poly.one()
-    da, db = _degrees(a), _degrees(b)
-    words = sorted(da.keys() | db.keys(), key=lambda w: (w in da and w in db, max(da.get(w, 0), db.get(w, 0)), graded_lex_key(w)))
+    words = sorted(a.variables() | b.variables(), key=graded_lex_key)
     parts, contents = [], []
     for p in (a, b):
         terms = _exponents(words, p)
@@ -432,6 +348,6 @@ def p_gcd(a, b):
         parts.append({tuple(map(sub, e, low)): c.numerator * (den // c.denominator) for e, c in terms.items()})
         contents.append(low)
     f, g = parts
-    h = {(0,) * len(words): 1} if len(f) == 1 or len(g) == 1 else _heu_gcd(f, g, 0) or _igcd(f, g, 0)
+    h = {(0,) * len(words): 1} if len(f) == 1 or len(g) == 1 else _heu_gcd(f, g, 0)
     low = tuple(map(min, *contents))
     return _from_exponents(words, {tuple(map(add, e, low)): c for e, c in h.items()}).monic()

@@ -16,12 +16,14 @@ juxtaposition is not multiplication):
 rendered basis elements such as "[x1,[x1,x2]]" parse back to themselves.
 h(...) is legal only in env mode; y-variables only in symplectic and
 weyl modes.  Parentheses, brackets, h(...) and unary minus nest at most
-MAX_DEPTH levels deep, and an exponent above MAX_EXPONENT raises
-BudgetError.  Rendering is deterministic and parseable: every
-value satisfies parse(render(v)) = v in its own mode.
+MAX_DEPTH levels deep.  An exponent above MAX_EXPONENT, and a number
+in or out with more digits than Python converts, raise BudgetError (a
+variable index that long, DomainError).  Rendering is deterministic and
+parseable: every value satisfies parse(render(v)) = v in its own mode.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from . import env, freelie, poisson, symplectic
@@ -54,14 +56,22 @@ def _linecol(src, pos):
 _TOKEN = re.compile(r"\s*((?P<num>[0-9]+)|(?P<var>[xy])(?P<idx>[0-9]*)|[h+\-*/^(){}\[\],]|(?P<bad>\S))")
 
 
+def _nat(digits, error, what, src, i):
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        limit, (line, col) = sys.get_int_max_str_digits(), _linecol(src, i)
+        raise error(f"{what} of {len(digits)} digits is above the limit of {limit} (line {line}, col {col})") from None
+
+
 def tokenize(src):
     tokens = []
     for m in _TOKEN.finditer(src):
         i, text = m.start(1), m[1]
         if m["num"]:
-            tokens.append(("num", int(text), i))
+            tokens.append(("num", _nat(text, BudgetError, "number", src, i), i))
         elif m["var"] and m["idx"]:
-            tokens.append(("var", (m["var"], int(m["idx"])), i))
+            tokens.append(("var", (m["var"], _nat(m["idx"], DomainError, f"variable index {m['var']}", src, i)), i))
         elif m["var"]:
             raise ParseError(f"variable index expected after {text!r}", *_linecol(src, i))
         elif m["bad"]:
@@ -265,7 +275,10 @@ def parse_element(src, n, mode):
 
 
 def format_scalar(c):
-    return str(Fraction(c))
+    try:
+        return str(Fraction(c))
+    except ValueError:  # str() refuses more than sys.get_int_max_str_digits() digits
+        raise BudgetError(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def render_word(w):

@@ -441,3 +441,21 @@ def test_exponent_limit():
         assert max(int(e) for e in re.findall(r"\^(\d+)", fh.read())) <= MAX_EXPONENT
     assert cap(["bracket", "-n", "1", f"x1^{MAX_EXPONENT}"]) == (0, f"x1^{MAX_EXPONENT}\n", "")
     assert cap(["bracket", "-n", "1", f"x1^{MAX_EXPONENT + 1}"])[0] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["bracket", "-n", "1", "(9^1000)^5"], 3, "undecided: a coefficient has more than"),
+        (["bracket", "-n", "1", "--format", "json", "(9^1000)^5"], 3, "undecided: a coefficient has more than"),
+        (["jacobian", "-n", "2", "x1", "(9^1000)^5*x2"], 3, "undecided: a coefficient has more than"),
+        (["bracket", "-n", "1", "1" * 5000], 3, "undecided: number of 5000 digits"),
+        (["bracket", "-n", "1", "x" + "1" * 5000], 2, "domain error: variable index x of 5000 digits"),
+    ],
+)
+def test_numbers_past_the_digit_limit_have_an_exit_code(argv, code, err):
+    # int() and str() refuse more than sys.get_int_max_str_digits() digits
+    # (4,300 by default); 9^5000 has 4,772
+    proc = fresh("-m", "freepoisson.cli", *argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr

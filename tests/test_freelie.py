@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from sympy import divisors, mobius
@@ -191,7 +192,8 @@ def test_lie_from_associative_rejects_non_lie_input():
 def test_interrupted_rewrite_leaves_the_cache_usable(monkeypatch):
     # (x1x2, x3) is not a standard factorization, so the rewrite recurses
     # through the Jacobi identity and accumulates; interrupt it once there
-    monkeypatch.setattr(freelie, "_BRACKET_CACHE", {})
+    table = freelie._basis_bracket
+    table.cache_clear()
     real = freelie.accumulate
     failed = []
 
@@ -206,5 +208,21 @@ def test_interrupted_rewrite_leaves_the_cache_usable(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         lie_bracket(a, b)
     assert failed
+    kept = table.cache_info()
+    assert kept.currsize == kept.misses - 1  # every bracket but the interrupted one was kept
     assert lie_bracket(a, b) == lie_bracket_oracle(a, b)
+    assert table.cache_info().misses > kept.misses  # the interrupted pair is computed afresh
     assert lie_bracket(b, a) == lie_bracket_oracle(b, a)
+
+
+def test_bracket_table_is_bounded(monkeypatch):
+    assert freelie._basis_bracket.cache_info().maxsize == freelie._BRACKET_TABLE_SIZE
+    # with a table of 8 entries, entries are evicted and the rewriting
+    # gives the same brackets
+    small = lru_cache(maxsize=8)(freelie._basis_bracket.__wrapped__)
+    monkeypatch.setattr(freelie, "_basis_bracket", small)
+    rng = random.Random(5)
+    for _ in range(20):
+        a, b = rand_lie(rng, 3, 3), rand_lie(rng, 3, 3)
+        assert lie_bracket(a, b) == lie_bracket_oracle(a, b)
+    assert small.cache_info().currsize == 8

@@ -122,8 +122,9 @@ def _module_tables():
 
 def test_only_the_bracket_table_outlives_a_call():
     # every table that lives longer than one call needs a bound; the
-    # bracket cache is the one such table, and no other table may grow
-    from freepoisson import calculus, depend, poisson, sampling, symplectic
+    # bracket table, an lru_cache, is the one such table, and no module
+    # dict, list or set may grow
+    from freepoisson import calculus, depend, freelie, poisson, sampling, symplectic
     from freepoisson.env import ham
 
     freepoisson.clear_caches()
@@ -146,7 +147,9 @@ def test_only_the_bracket_table_outlives_a_call():
     symplectic.theta_left(symplectic.symmetrize(f))
     after = _module_tables()
     grown = sorted(name for name, size in after.items() if size != before.get(name, 0))
-    assert grown == ["freelie._BRACKET_CACHE"], (before, after)
+    assert grown == [], (before, after)
+    info = freelie._basis_bracket.cache_info()
+    assert 0 < info.currsize <= info.maxsize == freelie._BRACKET_TABLE_SIZE
 
 
 def _bench_spans():

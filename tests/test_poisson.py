@@ -218,14 +218,11 @@ def _rand_word_poly(rng, words, terms, degree):
     return p if not p.is_zero() else Poly.one()
 
 
-@pytest.mark.parametrize("heuristic", [True, False])
-def test_gcd_matches_sympy_on_random_products(heuristic, monkeypatch):
-    if not heuristic:  # the remainder sequence that backs up the heuristic gcd
-        monkeypatch.setattr(poisson, "_heu_gcd", lambda f, g, k: None)
+def test_gcd_matches_sympy_on_random_products():
     rng = random.Random(97)
-    basis = [(1,), (2,), (1, 2), (1, 1, 2)]
+    basis = [(1,), (2,), (3,), (1, 2), (1, 3), (1, 1, 2), (1, 2, 2)]
     for _ in range(120):
-        words = rng.sample(basis, rng.randint(1, 4))
+        words = rng.sample(basis, rng.randint(1, 5))
         g = _rand_word_poly(rng, words, rng.randint(1, 3), 2)
         a = _rand_word_poly(rng, words, rng.randint(1, 4), 3)
         b = _rand_word_poly(rng, words, rng.randint(1, 4), 3)
@@ -237,18 +234,40 @@ def test_gcd_matches_sympy_on_random_products(heuristic, monkeypatch):
         assert divexact(x, g) == a and divexact(y, d) * d == y
 
 
-def test_gcd_inner_heuristic_failure_falls_back(monkeypatch):
-    heu, levels = poisson._heu_gcd, []
+def test_gcd_retries_at_a_larger_point(monkeypatch):
+    # the first candidate at levels 0 and 1 is refused; each level then
+    # tries a larger point instead of giving up
+    heu, divide, evaluate_at = poisson._heu_gcd, poisson._divide, poisson._eval
+    levels, points, refused = [], [], []
 
-    def fail_inside(f, g, k):
+    def heu_at(f, g, k):
         levels.append(k)
-        return None if k == 1 else heu(f, g, k)
+        try:
+            return heu(f, g, k)
+        finally:
+            levels.pop()
 
-    monkeypatch.setattr(poisson, "_heu_gcd", fail_inside)
+    def refuse_first(rest, div, quot):
+        if levels[-1] not in refused:
+            refused.append(levels[-1])
+            return None
+        return divide(rest, div, quot)
+
+    def record(f, k, xi):
+        points.append((k, xi))
+        return evaluate_at(f, k, xi)
+
+    monkeypatch.setattr(poisson, "_heu_gcd", heu_at)
+    monkeypatch.setattr(poisson, "_divide", refuse_first)
+    monkeypatch.setattr(poisson, "_eval", record)
     g = X1 * X2 + 2 * X2 + 1
     x, y = g * (X1 + 3 * X2**2 + 1), g * (X1**2 - X2 + 5)
     assert p_gcd(x, y) == g.monic()
-    assert levels == [0, 1]  # one failure inside ends the attempt
+    assert refused == [1, 0]
+    first = [xi for k, xi in points if k == 0]
+    assert len(set(first)) == 2 and first[0] < first[-1]
+    inner = [xi for k, xi in points if k == 1]
+    assert inner[0] < inner[2]  # the refused inner point was followed by a larger one
 
 
 def test_gcd_monomial_fast_path(monkeypatch):
@@ -256,7 +275,6 @@ def test_gcd_monomial_fast_path(monkeypatch):
         raise AssertionError("a monomial gcd needs no polynomial gcd")
 
     monkeypatch.setattr(poisson, "_heu_gcd", unused)
-    monkeypatch.setattr(poisson, "_igcd", unused)
     x12 = Poly.from_basis((1, 2))
     assert p_gcd(X1**2 * X2 * x12, 3 * X1 * X2**3 * (X1 + x12)) == X1 * X2
     assert p_gcd(Fraction(1, 2) * X1**3, X1 * X2 - X1**2) == X1
