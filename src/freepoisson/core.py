@@ -12,9 +12,12 @@ drops the zeros.
 import math
 from fractions import Fraction
 
-# All coefficients in this package are exact rationals.  Fraction keeps
-# values normalized (lowest terms, positive denominator), so equal values
-# always compare equal.
+# All coefficients in this package are exact rationals: a scalar is an int
+# or a Fraction (`SCALARS`), and nothing else is accepted.  Fraction keeps
+# values normalized (lowest terms, positive denominator), and an int equals
+# and hashes as the Fraction of the same value.  Poly keeps a coefficient
+# as an int when it is integral and as a Fraction only when it is not;
+# Lie, SPoly and Weyl keep Fractions.
 Scalar = Fraction
 
 ZERO = Fraction(0)
@@ -51,6 +54,13 @@ def mi_swap(a):
 
 
 SCALARS = (int, Fraction)
+
+
+def scalar(c):
+    """c as a Fraction; TypeError unless c is an int or a Fraction."""
+    if not isinstance(c, SCALARS):
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+    return Fraction(c)
 
 
 class BudgetError(Exception):
@@ -105,9 +115,13 @@ class Terms:
     variable pairs of the symplectic algebras, which fixes the length of
     their keys, and None for the others.  The public constructor
     normalizes its input through the hooks `_key` and `_coefficient` and
-    drops zeros; `_make` and `_like` are the trusted constructors for
-    dicts that are already normalized, such as the results of the
-    package's own arithmetic, and keep the dict as it is.
+    drops zeros; a coefficient is a scalar (`SCALARS`, kept as a Fraction
+    by default) or, for Env and PnEnv, an element, and anything else is a
+    TypeError.  `_make` and `_like` are the trusted constructors for dicts
+    that are already normalized, such as the results of the package's own
+    arithmetic, and keep the dict as it is; the base's sums, negation and
+    scalar multiples go through `_like`, where Poly turns integral
+    Fraction coefficients into ints.
 
     The base gives +, -, scalar *, ==, hash, truth and ** by repeated
     squaring.  A subclass supplies `_lift`, which turns a scalar (and, for
@@ -122,7 +136,7 @@ class Terms:
     __slots__ = ("terms", "n")
 
     _key = tuple
-    _coefficient = Fraction
+    _coefficient = staticmethod(scalar)
 
     def __init__(self, terms=None, n=None):
         self.n = n
@@ -190,8 +204,7 @@ class Terms:
 
     def __mul__(self, other):
         if isinstance(other, SCALARS):
-            c = Fraction(other)
-            return self._like({k: v * c for k, v in self.terms.items()} if c else {})
+            return self._like({k: v * other for k, v in self.terms.items()} if other else {})
         other = self._operand(other)
         if other is NotImplemented:
             return other

@@ -96,8 +96,8 @@ class _Derivation:
     (`monos` lists them by id), and each {x_a, m} is bracketed once.  So
     both tables hold one entry per monomial, and per (letter, monomial)
     pair, of the call that owns them: one env_mul, or the set-up of one
-    bounded search (depend.ColumnBuilder).  Coefficients are ints where
-    integral.
+    bounded search (depend.ColumnBuilder).  The coefficients are those of
+    the Poly terms, ints where integral.
     """
 
     def __init__(self):
@@ -108,7 +108,7 @@ class _Derivation:
             if m not in self._ids:
                 self._ids[m] = len(self.monos)
                 self.monos.append(m)
-        return {self._ids[m]: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
+        return {self._ids[m]: c for m, c in p.terms.items()}
 
     def products(self, u, words):
         """{w: {v: {id: c}}}, h_w * u = sum of c * monos[id] * h_v, for w in
@@ -178,7 +178,7 @@ def ham(p):
         for w, e, rest in poisson.partials(m):
             for v, d in freelie.associative_expansion(w).items():
                 accumulate(out.setdefault(v, {}), ((rest, c * (e * d)),))
-    return Env._make({v: Poly._make(q) for v, q in out.items() if q})
+    return Env._make({v: Poly._make(poisson.int_coefficients(q)) for v, q in out.items() if q})
 
 
 def hdeg(u):

@@ -7,25 +7,70 @@ extended to products by the Leibniz rule, over the factors that
 `partials` gives.  A monomial is stored as a tuple of (word, exponent)
 pairs sorted by the basis order (degree, then lex on the word).
 `mono_key` states the canonical monomial order: every leading term and
-every display order is taken in it.  `p_gcd` is the heuristic gcd of
-Char, Geddes and Gonnet, retried at larger points until it divides both.
+every display order is taken in it.  A coefficient is an int when it is
+integral and a Fraction only when it is not, so that most arithmetic is
+on ints; every operation here returns that form, and every division of
+coefficients is exact.  `p_gcd` is the heuristic gcd of Char, Geddes and
+Gonnet, retried at larger points until it divides both.
 """
 
 import heapq
 import math
 from fractions import Fraction
-from operator import add, sub, truediv
+from operator import add, sub
 
 from . import freelie
-from .core import SCALARS, Terms, accumulate, graded_lex_key
+from .core import SCALARS, Terms, accumulate, graded_lex_key, scalar
+
+
+def coefficient(c):
+    """The scalar c in the form Poly keeps: an int when integral, else a
+    Fraction; TypeError unless c is an int or a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = scalar(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def int_coefficients(terms):
+    """The term dict with every integral Fraction coefficient made an int,
+    in place: sums and products of Fractions can be integral."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
+
+
+def _quo(c, d):
+    """c / d for scalars in Poly's form, in that form: never a float."""
+    if type(c) is int and type(d) is int and not c % d:
+        return c // d
+    return coefficient(Fraction(c) / d)
 
 
 def mono_mul(m1, m2):
     """Merge two monomials, adding exponents."""
+    if not m1 or not m2:
+        return m1 or m2
     out = dict(m1)
     for w, e in m2:
         out[w] = out.get(w, 0) + e
     return tuple(sorted(out.items(), key=lambda t: graded_lex_key(t[0])))
+
+
+def mono_div(m, d):
+    """m / d for monomials, or None when d does not divide m."""
+    out = dict(m)
+    for w, e in d:
+        r = out.get(w, 0) - e
+        if r < 0:
+            return None
+        if r:
+            out[w] = r
+        else:
+            del out[w]
+    return tuple(out.items())
 
 
 def mono_deg(m):
@@ -52,9 +97,12 @@ def partials(m):
 
 
 class Poly(Terms):
-    """A Poisson-algebra element: finite map from monomials to scalars."""
+    """A Poisson-algebra element: finite map from monomials to scalars,
+    each an int when integral and a Fraction otherwise (`coefficient`)."""
 
     __slots__ = ()
+
+    _coefficient = staticmethod(coefficient)
 
     @staticmethod
     def zero():
@@ -82,21 +130,30 @@ class Poly(Terms):
 
     @staticmethod
     def from_lie(a):
-        return Poly._make({((w, 1),): c for w, c in a.terms.items()})
+        return Poly._make(int_coefficients({((w, 1),): c for w, c in a.terms.items()}))
+
+    def _like(self, terms):
+        return Poly._make(int_coefficients(terms))
 
     def _lift(self, c):
         return Poly.constant(c) if isinstance(c, SCALARS) else NotImplemented
 
     def _mul(self, other):
+        """The product; a constant operand only scales the other's
+        coefficients, and the constant 1 gives the other operand."""
+        const, rest = (other, self) if len(other.terms) == 1 and () in other.terms else (self, other)
+        if len(const.terms) == 1 and () in const.terms:
+            c = const.terms[()]
+            return rest if c == 1 else self._like({m: c * v for m, v in rest.terms.items()})
         b = other.terms.items()
         products = ((mono_mul(m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in b)
-        return Poly._make(accumulate({}, products))
+        return self._like(accumulate({}, products))
 
     def is_constant(self):
         return all(m == () for m in self.terms)
 
     def constant_value(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def deg(self):
         """Total degree, or -inf for the zero polynomial."""
@@ -120,7 +177,7 @@ class Poly(Terms):
         if not self.terms:
             raise ValueError("cannot normalize zero")
         _, c = self.leading()
-        return self * (1 / c)
+        return self * _quo(1, c)
 
     def variables(self):
         """The set of basis words occurring in the support."""
@@ -159,7 +216,7 @@ def p_bracket(a, b):
                     if base:
                         cof, s = mono_mul(cof1, cof2), c * e1 * e2
                         accumulate(out, ((mono_mul(cof, ((w, 1),)), s * k) for w, k in base.items()))
-    return Poly._make(out)
+    return Poly._make(int_coefficients(out))
 
 
 def p_deg(a):
@@ -196,7 +253,7 @@ def evaluate(p, images):
         for w, e in m:
             acc = acc * eval_word(w) ** e
         accumulate(out, acc.terms.items())
-    return Poly._make(out)
+    return Poly._make(int_coefficients(out))
 
 
 def _exponents(words, p):
@@ -207,7 +264,7 @@ def _exponents(words, p):
 
 def _from_exponents(words, terms):
     order = sorted(range(len(words)), key=lambda i: graded_lex_key(words[i]))
-    return Poly({tuple((words[i], e[i]) for i in order if e[i]): c for e, c in terms.items()})
+    return Poly._make({tuple((words[i], e[i]) for i in order if e[i]): c for e, c in terms.items()})
 
 
 def _divide(rest, div, quot):
@@ -256,12 +313,22 @@ def _iquot(c, d):
 def divexact(a, b):
     """Exact polynomial division a / b; raises ValueError if not divisible.
 
-    An exact quotient is the same under every term order, so the division
-    runs on exponent tuples in their lex order."""
+    A one-term divisor divides each term.  Otherwise, as an exact quotient
+    is the same under every term order, the division runs on exponent
+    tuples in their lex order."""
     if b.is_zero():
         raise ValueError("division by zero polynomial")
+    if len(b.terms) == 1:
+        ((d, c),) = b.terms.items()
+        out = {}
+        for m, v in a.terms.items():
+            q = mono_div(m, d) if d else m
+            if q is None:
+                raise ValueError("polynomials do not divide exactly")
+            out[q] = _quo(v, c)
+        return Poly._make(out)
     words = sorted(a.variables() | b.variables(), key=graded_lex_key)
-    quo = _divide(_exponents(words, a), _exponents(words, b), truediv)
+    quo = _divide(_exponents(words, a), _exponents(words, b), _quo)
     if quo is None:
         raise ValueError("polynomials do not divide exactly")
     return _from_exponents(words, quo)

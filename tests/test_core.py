@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -170,3 +171,29 @@ def test_no_equality_across_algebras():
         SPoly.x(1, 1) + SPoly.x(2, 1)
     with pytest.raises(ValueError):
         PnEnv(1, {(0, 0): SPoly.x(2, 1)})
+
+
+# One-term elements of the six algebras with the coefficient c.
+ONE_TERM = {
+    "Lie": lambda c: Lie({(1,): c}),
+    "Poly": lambda c: Poly({(): c}),
+    "Env": lambda c: Env({(): c}),
+    "SPoly": lambda c: SPoly(1, {(0, 0): c}),
+    "Weyl": lambda c: Weyl(1, {((0,), (0,)): c}),
+    "PnEnv": lambda c: PnEnv(1, {(0, 0): c}),
+}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@pytest.mark.parametrize("c", [0.1, 0.5, 2.0, Decimal("0.5"), "1/2", None])
+def test_constructors_refuse_inexact_coefficients(name, c):
+    # Fraction(0.1) is 3602879701896397/2**55, not 1/10: a float is never taken
+    with pytest.raises(TypeError):
+        ONE_TERM[name](c)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_constructors_take_ints_and_fractions(name):
+    make = ONE_TERM[name]
+    assert make(2) == make(Fraction(2)) == make(1) * 2
+    assert make(Fraction(1, 2)) == make(1) * Fraction(1, 2)

@@ -5,6 +5,7 @@ import pytest
 
 from freepoisson import poisson
 from freepoisson.core import graded_lex_key
+from freepoisson.env import env_mul, ham
 from freepoisson.freelie import Lie
 from freepoisson.poisson import (
     Poly,
@@ -20,7 +21,7 @@ from freepoisson.poisson import (
     p_gcd,
     partials,
 )
-from freepoisson.sampling import rand_lie, rand_poly, rand_poly_nonzero
+from freepoisson.sampling import rand_env_nonzero, rand_lie, rand_poly, rand_poly_nonzero, rand_scalar
 
 X1 = Poly.generator(1)
 X2 = Poly.generator(2)
@@ -301,3 +302,110 @@ def test_evaluate_is_a_poisson_map():
         rhs = p_bracket(evaluate(a, images), evaluate(b, images))
         assert lhs == rhs
     assert evaluate(p_bracket(X1, X2), [X2, X1]) == -p_bracket(X1, X2)
+
+
+# --- coefficients: an int when integral, a Fraction only when not ----------
+
+
+def _canonical(p):
+    """True iff every coefficient of p is an int or a non-integral Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.terms.values())
+
+
+def test_every_operation_keeps_int_coefficients_where_integral():
+    rng = random.Random(137)
+    for _ in range(60):
+        a = rand_poly_nonzero(rng, 2, 3, terms=3)
+        b = rand_poly_nonzero(rng, 2, 2, terms=2)
+        g = rand_poly_nonzero(rng, 2, 2, terms=2)
+        c = rand_scalar(rng)  # a Fraction, integral about half the time
+        m = Poly({next(iter(b.terms)): c})  # one term
+        u, v = rand_env_nonzero(rng, 2, 2, 2), rand_env_nonzero(rng, 2, 2, 2)
+        got = [a + b, a - b, -a, a + a, a - Fraction(1, 2) * a, a * b, a * a]
+        got += [a * c, c * a, a * c.numerator, a * Fraction(2), a * Fraction(1, 2) * 2]
+        got += [p_bracket(a, b), p_bracket(a * Fraction(1, 2), b), p_gcd(a * g, b * g)]
+        got += [divexact(a * b, b), divexact(a * m, m), divexact(a, Poly.constant(c)), a.monic()]
+        got += [evaluate(a, [b, g])]
+        got += [q for w in (ham(a), env_mul(u, v), u * c) for q in w.terms.values()]
+        for p in got:
+            assert _canonical(p), p.terms
+
+
+def test_int_and_integral_fraction_coefficients_are_one_poly():
+    m = (((1,), 2),)
+    a, b = Poly({m: 2}), Poly({m: Fraction(2)})
+    assert a == b and hash(a) == hash(b)
+    assert type(b.terms[m]) is int
+    assert Poly.constant(Fraction(4, 2)) == 2 and hash(Poly.constant(Fraction(4, 2))) == hash(2)
+
+
+def _reference_mono_mul(m1, m2):
+    out = dict(m1)
+    for w, e in m2:
+        out[w] = out.get(w, 0) + e
+    return tuple(sorted(out.items(), key=lambda t: graded_lex_key(t[0])))
+
+
+def _reference_mul(a, b):
+    """The product term by term, with no shortcut for a constant."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = _reference_mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return Poly(out)
+
+
+def _reference_divexact(a, b):
+    """divexact's division on exponent tuples, for any divisor; None when
+    b does not divide a."""
+    words = sorted(a.variables() | b.variables(), key=graded_lex_key)
+    quo = poisson._divide(poisson._exponents(words, a), poisson._exponents(words, b), poisson._quo)
+    return None if quo is None else poisson._from_exponents(words, quo)
+
+
+def test_a_constant_factor_scales_like_the_general_product():
+    rng = random.Random(139)
+    for _ in range(80):
+        a = rand_poly_nonzero(rng, 2, 3, terms=3)
+        c = rng.choice([1, -1, 2, Fraction(2), Fraction(1, 2), rand_scalar(rng)])
+        k = Poly.constant(c)
+        assert k * a == a * k == _reference_mul(k, a) == _reference_mul(a, k)
+        assert _canonical(k * a)
+        assert k * k == _reference_mul(k, k)
+    assert Poly.one() * X1 == X1 == X1 * Poly.one()
+
+
+def test_mono_mul_by_the_empty_monomial():
+    rng = random.Random(149)
+    for _ in range(40):
+        m = next(iter(rand_poly_nonzero(rng, 3, 4, terms=1).terms))
+        assert mono_mul((), m) == mono_mul(m, ()) == _reference_mono_mul((), m) == m
+    assert mono_mul((), ()) == ()
+
+
+def test_divexact_by_one_term_matches_the_general_division():
+    rng = random.Random(151)
+    seen = {"divides": 0, "does not": 0}
+    for _ in range(120):
+        a = rand_poly_nonzero(rng, 2, 3, terms=3)
+        m = next(iter(rand_poly_nonzero(rng, 2, 2, terms=1).terms))
+        for d in (Poly.constant(rand_scalar(rng)), Poly({m: rand_scalar(rng)})):
+            want = _reference_divexact(a, d)
+            if want is None:
+                seen["does not"] += 1
+                with pytest.raises(ValueError):
+                    divexact(a, d)
+            else:
+                seen["divides"] += 1
+                assert divexact(a, d) == want and _canonical(divexact(a, d))
+            assert divexact(a * d, d) == a
+    assert seen["divides"] and seen["does not"]
+
+
+def test_coefficient_division_is_exact():
+    assert divexact(X1, 2 * X1) == Fraction(1, 2)
+    assert type(divexact(X1, 2 * X1).terms[()]) is Fraction
+    p = (3 * X1 + 1).monic()
+    assert p.terms == {(((1,), 1),): 1, (): Fraction(1, 3)}
+    assert type(p.terms[(((1,), 1),)]) is int and type(p.terms[()]) is Fraction
