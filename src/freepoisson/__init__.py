@@ -79,7 +79,8 @@ def __dir__():
 
 def clear_caches():
     """Empty the bracket table of `freelie`, the one (bounded) table of the
-    package that lives across calls.  Results do not depend on it.
+    algebra that lives across calls (`sampling` keeps bounded monomial
+    pools for the test generators).  Results do not depend on it.
     Returns its size before clearing, as {"bracket": int}.
     """
     sizes = {"bracket": freelie._basis_bracket.cache_info().currsize}

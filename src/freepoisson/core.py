@@ -123,14 +123,15 @@ class Terms:
     scalar multiples go through `_like`, where Poly turns integral
     Fraction coefficients into ints.
 
-    The base gives +, -, scalar *, ==, hash, truth and ** by repeated
-    squaring.  A subclass supplies `_lift`, which turns a scalar (and, for
-    Env and PnEnv, a coefficient) into an element or gives
-    NotImplemented, and `_mul`, its product, if it has one.  Other
-    operands make the operators return NotImplemented, so that Python
-    raises TypeError.  Elements compare equal only to elements of the same
-    class and n, and to the scalars they lift from; a constant hashes as
-    its scalar.
+    The base gives +, -, scalar *, ==, hash, truth and **, which
+    multiplies the base into a running product k - 1 times.  A subclass
+    supplies `_lift`, which turns a scalar (and, for Env and PnEnv, a
+    coefficient) into an element or gives NotImplemented, and `_mul`,
+    its product, if it has one.  Other operands make the operators
+    return NotImplemented, so that Python raises TypeError; ** raises it
+    itself.  Elements compare equal only to elements of the same class
+    and n, and to the scalars they lift from; a constant hashes as its
+    scalar.
     """
 
     __slots__ = ("terms", "n")
@@ -218,19 +219,18 @@ class Terms:
 
     def __pow__(self, k):
         if not isinstance(k, int):
-            return NotImplemented
+            # not NotImplemented: Fraction(2).__rpow__ would compute self**2
+            raise TypeError(f"power {k!r} is not an int")
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
             return self._lift(1)
-        out, base = None, self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        out = self
+        for _ in range(k - 1):
+            # the base on the left: env_mul derives the right factor once per
+            # suffix of a left h-word, and the base has the fewest
+            out = self * out
+        return out
 
     def __eq__(self, other):
         if isinstance(other, SCALARS):

@@ -273,8 +273,7 @@ class ColumnBuilder:
 
     The bases are those of the rows multiplied by `scale`, the lcm D of
     their coefficient denominators.  The bracket structure constants are
-    integers, so every column has integer coefficients, and they are ints,
-    as Poly keeps every integral coefficient.
+    ints (`freelie._basis_bracket`), so every column has int coefficients.
     Scaling every column by D changes no kernel.
     """
 

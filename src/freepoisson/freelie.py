@@ -135,7 +135,7 @@ def _basis_bracket(u, v):
         return {w: -c for w, c in _basis_bracket(v, u).items()}
     w = u + v
     if standard_factorization(w) == (u, v):
-        return {w: Fraction(1)}
+        return {w: 1}
     u1, u2 = standard_factorization(u)
     out = {}
     for z, c in _basis_bracket(u2, v).items():

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from . import freelie
 from .calculus import Endomorphism, compose
@@ -10,16 +11,14 @@ from .env import Env
 from .poisson import Poly, mono_deg
 from .symplectic import SPoly, Weyl
 
-_MONO_POOLS = {}
+# Far above the 18 (n, max_deg) pairs that the test suites and `fpa check` draw from.
+_MONO_POOL_COUNT = 64
 
 
+@lru_cache(maxsize=_MONO_POOL_COUNT)
 def _mono_pool(n, max_deg):
-    key = (n, max_deg)
-    pool = _MONO_POOLS.get(key)
-    if pool is None:
-        pool = monomials_up_to(n, max_deg)
-        _MONO_POOLS[key] = pool
-    return pool
+    """The monomials of degree <= max_deg in n letters; must not be mutated."""
+    return monomials_up_to(n, max_deg)
 
 
 def rand_scalar(rng):

@@ -153,6 +153,16 @@ def test_lie_bracket_matches_associative_commutator_exhaustively():
                 assert lie_bracket(a, b) == lie_bracket_oracle(a, b), (u, v)
 
 
+def test_structure_constants_are_ints_and_lie_coefficients_fractions():
+    basis = lyndon_basis(3, 5)
+    for u in basis:
+        for v in basis:
+            if len(u) + len(v) <= 6:
+                assert all(type(c) is int for c in freelie._basis_bracket(u, v).values()), (u, v)
+                bracket = lie_bracket(Lie.basis_element(u), Lie.basis_element(v))
+                assert all(type(c) is Fraction for c in bracket.terms.values()), (u, v)
+
+
 def test_lie_bracket_axioms_random():
     rng = random.Random(2024)
     for _ in range(60):

@@ -106,7 +106,7 @@ def test_clear_caches_before_any_module_has_run():
     assert (proc.returncode, proc.stdout) == (0, "h(x1)\n"), proc.stderr
 
 
-_STATEFUL = ("core", "freelie", "poisson", "env", "depend", "linalg", "calculus", "symplectic", "syntax", "cli")
+_STATEFUL = ("core", "freelie", "poisson", "env", "depend", "linalg", "calculus", "symplectic", "syntax", "cli", "sampling")
 
 
 def _module_tables():
@@ -122,8 +122,8 @@ def _module_tables():
 
 def test_only_the_bracket_table_outlives_a_call():
     # every table that lives longer than one call needs a bound; the
-    # bracket table, an lru_cache, is the one such table, and no module
-    # dict, list or set may grow
+    # bracket table and sampling's monomial pools, lru_caches, are the
+    # only such tables, and no module dict, list or set may grow
     from freepoisson import calculus, depend, freelie, poisson, sampling, symplectic
     from freepoisson.env import ham
 
@@ -150,6 +150,8 @@ def test_only_the_bracket_table_outlives_a_call():
     assert grown == [], (before, after)
     info = freelie._basis_bracket.cache_info()
     assert 0 < info.currsize <= info.maxsize == freelie._BRACKET_TABLE_SIZE
+    info = sampling._mono_pool.cache_info()
+    assert 0 < info.currsize <= info.maxsize == sampling._MONO_POOL_COUNT
 
 
 def _bench_spans():
