@@ -127,7 +127,10 @@ class Terms:
     multiplies the base into a running product k - 1 times.  A subclass
     supplies `_lift`, which turns a scalar (and, for Env and PnEnv, a
     coefficient) into an element or gives NotImplemented, and `_mul`,
-    its product, if it has one.  Other operands make the operators
+    its product, if it has one.  A commutative one (Poly, SPoly) also
+    supplies `_key_power(key, k)`, the key of the k-th power of a basis
+    element, and ** gives the power of a single term c*key in closed form,
+    c**k at that key.  Other operands make the operators
     return NotImplemented, so that Python raises TypeError; ** raises it
     itself.  Elements compare equal only to elements of the same class
     and n, and to the scalars they lift from; a constant hashes as its
@@ -138,6 +141,7 @@ class Terms:
 
     _key = tuple
     _coefficient = staticmethod(scalar)
+    _key_power = None
 
     def __init__(self, terms=None, n=None):
         self.n = n
@@ -225,6 +229,9 @@ class Terms:
             raise ValueError("negative power")
         if k == 0:
             return self._lift(1)
+        if k > 1 and len(self.terms) == 1 and self._key_power:
+            ((key, c),) = self.terms.items()
+            return self._like({self._key_power(key, k): c**k})
         out = self
         for _ in range(k - 1):
             # the base on the left: env_mul derives the right factor once per

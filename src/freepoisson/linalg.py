@@ -30,15 +30,17 @@ column, or the product of the step factors) is the same rational vector.
 A fresh column is one whose entries are all nonzero ints and whose lead
 row no pivot holds yet.  No step touches it, so the pair that elimination
 would store is the column itself with the combination {col_id: 1}, which
-is primitive.  `add_shifted` stores it unbuilt, as ((base, off), col_id),
-which a reduction builds into the dict pair in place the first time it
-reads it as a pivot.  The bounded searches make almost only fresh
-columns: m * h_w * s leads at lead(h_w * s) + code(m), and two columns
-rarely share one.  Any other column, and every column given to `add`, is
-built into a private dict and reduced.  The solver never changes a column
-it was handed, and the caller must not change one after handing it in.
+is primitive.  `add_shifted` stores it unbuilt, as its bare int col_id,
+and keeps one (first id, base, offsets) run per call, from which a
+reduction builds the dict pair in place the first time it reads the id as
+a pivot.  The bounded searches make almost only fresh columns: m * h_w * s
+leads at lead(h_w * s) + code(m), and two columns rarely share one.  Any
+other column, and every column given to `add`, is built into a private
+dict and reduced.  The solver never changes a column it was handed, and
+the caller must not change one after handing it in.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -70,9 +72,9 @@ class SparseSolver:
     its kernel; `solve` expresses a right-hand side in the columns."""
 
     def __init__(self):
-        # row key -> (primitive int column with that lead, int combo over
-        # column ids), or ((base, off), col_id) for an unbuilt fresh column
-        self.pivots = {}
+        # row key -> (primitive int column with that lead, int combo over column
+        # ids), or the col_id of an unbuilt fresh column; runs sorted by first
+        self.pivots, self._runs = {}, []
 
     def _reduce(self, vec, combo):
         """Reduce vec in place against the pivots, combo in step with it.
@@ -87,11 +89,10 @@ class SparseSolver:
             piv = self.pivots.get(k)
             if piv is None:
                 return k, s
+            if type(piv) is int:
+                first, base, offs = self._runs[bisect.bisect(self._runs, piv, key=lambda run: run[0]) - 1]
+                piv = self.pivots[k] = {row + offs[piv - first]: c for row, c in base.entries}, {piv: 1}
             pvec, pcombo = piv
-            if type(pvec) is tuple:
-                base, off = pvec
-                pvec, pcombo = {row + off: c for row, c in base.entries}, {pcombo: 1}
-                self.pivots[k] = pvec, pcombo
             p, v = pvec[k], vec[k]
             g = math.gcd(p, v)
             a, b = p // g, -v // g
@@ -121,7 +122,6 @@ class SparseSolver:
                 vec = {key: c // g for key, c in vec.items()}
                 combo = {key: c // g for key, c in combo.items()}
         self.pivots[k] = (vec, combo)
-        return None
 
     def add(self, col_id, vec):
         """Register a dict column.
@@ -134,8 +134,8 @@ class SparseSolver:
 
     def add_shifted(self, base, offs, first):
         """Register the columns {row + off: c for row, c in base.entries}
-        for the offsets `offs`, in order, as `add` would, with the column
-        ids first, first + 1, ...
+        for the offsets of the sequence `offs`, in order, as `add` would,
+        with the column ids first, first + 1, ..., distinct from all others.
 
         A generator: it yields the kernel of each column that depends on
         those before it, as it arises, and registers the next column only
@@ -143,13 +143,13 @@ class SparseSolver:
         pivot at its lead base.top + off) is stored unbuilt.
         """
         pivots = self.pivots
-        top = base.top if base.integral else None
+        top = base.top if base.integral and offs else None
+        if top is not None:
+            bisect.insort(self._runs, (first, base, offs), key=lambda run: run[0])
         for col_id, off in enumerate(offs, first):
-            if top is not None:
-                k = top + off
-                if k not in pivots:
-                    pivots[k] = (base, off), col_id
-                    continue
+            if top is not None and (k := top + off) not in pivots:
+                pivots[k] = col_id
+                continue
             vec = {row + off: c for row, c in base.entries}
             kernel = self._insert(col_id, vec, 1) if top is not None else self._insert(col_id, *_integral(vec))
             if kernel is not None:

@@ -138,6 +138,10 @@ class Poly(Terms):
     def _lift(self, c):
         return Poly.constant(c) if isinstance(c, SCALARS) else NotImplemented
 
+    @staticmethod
+    def _key_power(m, k):
+        return tuple((w, e * k) for w, e in m)
+
     def _mul(self, other):
         """The product; a constant operand only scales the other's
         coefficients, and the constant 1 gives the other operand."""

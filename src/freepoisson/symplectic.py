@@ -92,6 +92,10 @@ class SPoly(Terms):
     def _lift(self, c):
         return SPoly.constant(self.n, c) if isinstance(c, SCALARS) else NotImplemented
 
+    @staticmethod
+    def _key_power(e, k):
+        return tuple(a * k for a in e)
+
     def _mul(self, other):
         b = other.terms.items()
         products = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in b)

@@ -305,6 +305,13 @@ def test_a_left_inverse_that_is_not_right_is_unknown(monkeypatch):
             assert invert_jacobian_bounded(J, 1, 1) == ("unknown", None, (1, 1))
 
 
+def fed_pair(fed, cid):
+    """The pair (column, {cid: 1}) of the unbuilt id cid among the runs
+    (base, offsets, first id) fed to add_shifted."""
+    ((base, off),) = [(base, offs[cid - first]) for base, offs, first in fed if first <= cid < first + len(offs)]
+    return {r + off: c for r, c in base.entries}, {cid: 1}
+
+
 def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
     # J[1] = x1 * J[0], so (x1, -1) * J = 0: the column (1, w, m) depends
     # on (0, w, m*x1) while other columns of the same base do not, and
@@ -337,10 +344,8 @@ def test_search_box_adds_every_column_after_a_kernel(monkeypatch):
                 kernels.append(kernel)
     assert [k for k, _ in solver.kernels] == kernels
     assert list(solver.pivots) == list(reference.pivots)
-    for k, (vec, combo) in solver.pivots.items():
-        if type(vec) is tuple:
-            vec, combo = {r + vec[1]: c for r, c in vec[0].entries}, {combo: 1}
-        assert (vec, combo) == reference.pivots[k]
+    for k, piv in solver.pivots.items():
+        assert (fed_pair(solver.fed, piv) if type(piv) is int else piv) == reference.pivots[k]
     # the ids run on from base to base, a kernel arose before the last
     # column of its base, and columns added after the first kernel became
     # pivots

@@ -248,6 +248,24 @@ def test_powers_match_repeated_squaring(x):
         assert x**k == squaring_power(x, k), k
 
 
+def test_one_term_powers_in_closed_form(monkeypatch):
+    # Poly and SPoly raise a single term c*m to the k-th power as c**k at m
+    # with its exponents times k, without a product: a constant, a fraction
+    # and a bracket word give what binary squaring gives, with Poly's
+    # integral coefficients kept as ints
+    X1, x1, y2 = Poly.generator(1), SPoly.x(2, 1), SPoly.y(2, 2)
+    singles = [Poly.constant(-3), Poly.constant(Fraction(2, 3)), Fraction(-1, 2) * X1 * X1 * Poly.from_basis((1, 2))]
+    singles += [Poly.from_basis((1, 1, 2)), SPoly.constant(2, 5), Fraction(3, 4) * x1 * y2 * y2]
+    want = {(x, k): squaring_power(x, k) for x in singles for k in (0, 1, 1000)}
+    for cls in (Poly, SPoly):
+        monkeypatch.setattr(cls, "_mul", lambda a, b: pytest.fail("a product was made"))
+    for (x, k), power in want.items():
+        got = x**k
+        assert got == power and [type(c) for c in got.terms.values()] == [type(c) for c in power.terms.values()]
+    assert (Poly.generator(1) ** 100000).terms == {(((1,), 100000),): 1}
+    assert (Fraction(1, 2) * x1) ** 20000 == SPoly(2, {(20000, 0, 0, 0): Fraction(1, 2**20000)})
+
+
 def test_a_power_multiplies_the_base_into_the_product(monkeypatch):
     # (x1 + x2 + x3)**k has C(k + 2, 2) terms; multiplying the base in k - 1
     # times makes 3 * C(j + 2, 2) term products at step j, under 3 * C(k + 2, 3)
