@@ -7,23 +7,25 @@ coefficients on the left of commuting h-generators indexed by a length-2n
 multi-index, with h_{x_i} q = q h_{x_i} + dq/dy_i and
 h_{y_i} q = q h_{y_i} - dq/dx_i.
 
-The three noncommutative products, weyl_mul, moyal and pn_env_mul, run
-one integer contraction kernel, _contract, on two factors given as flat
-exponent vectors with integer numerators over one common denominator.
-(The commutative SPoly product is a plain loop over pairs of terms.)  A
+The products weyl_mul, moyal, pn_env_mul and that of SPoly run one
+integer contraction kernel, _contract, on two factors given as flat
+exponent vectors with integer numerators over one common denominator.  A
 vector is packed into one int, its exponents being the digits in base
-1 + E_u + E_v (E: the largest exponent of a factor), so no digit
-carries.  A channel (i, j, lam) contracts exponent p at place i of
-the left factor against q at place j of the right: its index k lowers both
-by k, which subtracts a fixed multiple of the code, with the weight
-lam^k k! C(p,k) C(q,k).  weyl_mul has one channel per variable, Y_i
-against X_i with lam = -1; moyal has two, x_i against y_i with lam = 1/2
-and y_i against x_i with lam = -1/2; pn_env_mul has two on the vectors
-(coefficient exponents, h-index), h_{x_i} against y_i with lam = 1 and
-h_{y_i} against x_i with lam = -1, so P_n^e multiplies as the Weyl
-algebra A_2n.  A product code is decoded once, each distinct half of it
-once per call, straight into the keys the caller returns, with one
-Fraction per output key.
+1 + E_u + E_v (E: the largest exponent of a factor), so no digit carries.
+A channel (i, j, lam) contracts exponent p at place i of the left factor
+against q at place j of the right: its index k lowers both by k with the
+weight lam^k k! C(p,k) C(q,k) = lam^k C(p,k) q!/(q-k)!.  So each factor
+is expanded once by the multi-index gamma of the channels, the left
+weighed by C(p,k) and the right by q!/(q-k)!, keeping the gamma that a
+term of the other factor reaches, and the parts of equal gamma are
+multiplied as packed codes.  weyl_mul has one channel per variable,
+Y_i against X_i with lam = -1; moyal has two, x_i against y_i with
+lam = 1/2 and y_i against x_i with lam = -1/2; pn_env_mul has two on the
+vectors (coefficient exponents, h-index), h_{x_i} against y_i with lam = 1
+and h_{y_i} against x_i with lam = -1, so P_n^e multiplies as the Weyl
+algebra A_2n; the SPoly product has none.  A product code is decoded once,
+each distinct half of it once per call, straight into the keys the caller
+returns, with one Fraction per distinct numerator.
 
 The maps between the algebras take no product.  Symmetrization W is
 exp(-D/2), D = sum_i d/dx_i d/dy_i, on normal-order exponents, so its
@@ -37,13 +39,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from operator import add, mul, sub
+from operator import mul, or_, sub
 
 from .core import SCALARS, Terms, accumulate
-
-
-def _zero_mi(n2):
-    return (0,) * n2
 
 
 def _unit(size, i, n, shift, message):
@@ -70,7 +68,7 @@ class SPoly(Terms):
 
     @staticmethod
     def constant(n, c):
-        return SPoly(n, {_zero_mi(2 * n): c})
+        return SPoly(n, {(0,) * (2 * n): c})
 
     @staticmethod
     def one(n):
@@ -97,15 +95,14 @@ class SPoly(Terms):
         return tuple(a * k for a in e)
 
     def _mul(self, other):
-        b = other.terms.items()
-        products = ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in b)
-        return self._like(accumulate({}, products))
+        rows = _decode(*_contract(list(self.terms.items()), list(other.terms.items()), []), 2 * self.n)
+        return self._like(rows.get((0,) * (2 * self.n), {}))
 
     def is_constant(self):
         return all(not any(e) for e in self.terms)
 
     def constant_value(self):
-        return self.terms.get(_zero_mi(2 * self.n), Fraction(0))
+        return self.terms.get((0,) * (2 * self.n), Fraction(0))
 
     def deg(self):
         if not self.terms:
@@ -127,18 +124,11 @@ class SPoly(Terms):
         for var, k in enumerate(gamma):
             for _ in range(k):
                 out = out.derive(var)
-                if out.is_zero():
-                    return out
         return out
 
     def max_exponents(self):
         """Entrywise max exponent over the support (all zeros if empty)."""
-        top = [0] * (2 * self.n)
-        for e in self.terms:
-            for k, v in enumerate(e):
-                if v > top[k]:
-                    top[k] = v
-        return tuple(top)
+        return tuple(map(max, zip((0,) * (2 * self.n), *self.terms)))
 
     def __repr__(self):
         return f"SPoly({self.n}, {self.terms!r})"
@@ -196,80 +186,90 @@ class Weyl(Terms):
         return f"Weyl({self.n}, {self.terms!r})"
 
 
-def _rows(terms, place, positions):
-    """(d, rows): per term (vector e, Fraction c) the row (code, mask, e,
-    numerator over d), d the common denominator; bit k of the mask is set
-    where e[positions[k]] is nonzero."""
+def _masks(terms, t, b):
+    """[m_0, .., m_b]: m_k the bitmask of the terms of exponent >= k at t."""
+    m = [0] * (b + 1)
+    for s, (e, _) in enumerate(terms):
+        m[b if e[t] > b else e[t]] |= 1 << s
+    return [*itertools.accumulate(reversed(m), or_)][::-1]
+
+
+def _expand(terms, place, chans, weight):
+    """(d, groups): d the common denominator of the terms (vector e,
+    Fraction c), groups mapping the key of each gamma to the (code,
+    numerator over d) of the terms' derivatives of order gamma.  Channel
+    (t, step, b, mask) takes gamma_c = k <= min(e[t], b): the key gains
+    k step, the code loses k place[t] and the numerator is multiplied by
+    weight(e[t], k), tabulated once per (t, e[t]) in a call.  An entry
+    also keeps the bitmask of the other factor's terms that reach its
+    gamma, and-ed with mask[k] at each step; once it is empty the entry
+    would meet no group and is dropped, so a term makes no more entries
+    than join products."""
     d = math.lcm(*(c.denominator for _, c in terms))
-    bits = [1 << k for k in range(len(positions))]
-    return d, [
-        (sum(map(mul, e, place)), sum(itertools.compress(bits, map(e.__getitem__, positions))), e, c.numerator * (d // c.denominator))
-        for e, c in terms
-    ]
+    groups, tables = {}, {}
+    for e, c in terms:
+        items = [(0, sum(map(mul, e, place)), c.numerator * (d // c.denominator), -1)]
+        for t, step, b, mask in chans:
+            p = e[t]
+            if p:
+                table = tables.get((t, p))
+                if table is None:
+                    table = tables[(t, p)] = [(k * step, k * place[t], weight(p, k), mask[k]) for k in range(1, min(p, b) + 1)]
+                items += [(g + dg, z - dz, x * w, h) for g, z, x, r in items for dg, dz, w, m in table if (h := r & m)]
+        for g, z, x, _ in items:
+            groups.setdefault(g, []).append((z, x))
+    return d, groups
 
 
 def _contract(u, v, channels):
     """(radix, den, acc): u and v, lists of (vector, Fraction), contracted
-    along the channels (i, j, lam), acc mapping each product code to its
-    numerator over den.  Channel c lowers its pair at most
-    K_c = min(E_u[i], E_v[j]) times, so its weights are integers over
-    lam_den^K_c; a pair of terms expands only along the channels where both
-    exponents are nonzero, found once per mask, with the weights tabulated
-    once per call."""
+    along the channels (i, j, lam), no two with the same i or the same j,
+    acc mapping each product code to its numerator over den.  Channel c
+    stops at gamma_c = K_c = min(E_u[i], E_v[j]) and is left out if K_c
+    is 0.  The factors are expanded once by gamma, keyed by sum_c gamma_c
+    radix^i, and equal keys are joined, the weight lam_num^gamma
+    lam_den^(K - gamma) over lam_den^K (products over c) applied once a key."""
     if not u or not v:
         return 1, 1, {}
     zero = (0,) * len(u[0][0])
     top_u, top_v = (list(map(max, zero, *(e for e, _ in w))) for w in (u, v))
     radix = 1 + max(top_u) + max(top_v)
     place = [radix**t for t in range(len(top_u))]
-    du, left = _rows(u, place, [i for i, _, _ in channels])
-    dv, right = _rows(v, place, [j for _, j, _ in channels])
-    bound = [min(top_u[i], top_v[j]) for i, j, _ in channels]
-    scale = [lam.denominator**k for (_, _, lam), k in zip(channels, bound)]
-    full = math.prod(scale)
-    weights, fired, acc = {}, {}, {}
+    chans = [(i, j, lam, b) for i, j, lam in channels if (b := min(top_u[i], top_v[j]))]
+    du, left = _expand(u, place, [(i, place[i], b, _masks(v, j, b)) for i, j, _, b in chans], math.comb)
+    dv, right = _expand(v, place, [(j, place[i], b, _masks(u, i, b)) for i, j, _, b in chans], math.perm)
+    scale = [(place[i], [lam.numerator**k * lam.denominator ** (b - k) for k in range(b + 1)]) for i, _, lam, b in chans]
+    acc = {}
     get = acc.get
-    for code_u, umask, a, nu in left:
-        for code_v, vmask, b, nv in right:
-            code, num = code_u + code_v, nu * nv
-            both = umask & vmask
-            if not both:
-                acc[code] = get(code, 0) + num * full
-                continue
-            f = fired.get(both)
-            if f is None:
-                on = [c for c in range(len(channels)) if both >> c & 1]
-                f = fired[both] = (math.prod(s for c, s in enumerate(scale) if c not in on), [(c, *channels[c]) for c in on])
-            items = [(code, num * f[0])]
-            for c, i, j, lam in f[1]:
-                key = (c, a[i], b[j])
-                table = weights.get(key)
-                if table is None:
-                    p, q, step = a[i], b[j], place[i] + place[j]
-                    table = weights[key] = [
-                        (k * step, lam.numerator**k * lam.denominator ** (bound[c] - k) * math.factorial(k) * math.comb(p, k) * math.comb(q, k))
-                        for k in range(min(p, q) + 1)
-                    ]
-                items = [(z - s, x * w) for z, x in items for s, w in table]
-            for z, x in items:
-                acc[z] = get(z, 0) + x
-    return radix, du * dv * full, acc
+    for g, a in left.items():
+        b = right.get(g)
+        if b:
+            w = 1
+            for s, table in scale:
+                w *= table[g // s % radix]
+            for cu, nu in a:
+                nu *= w
+                for cv, nv in b:
+                    z = cu + cv
+                    acc[z] = get(z, 0) + nu * nv
+    return radix, du * dv * math.prod(table[0] for _, table in scale), acc
 
 
 def _decode(radix, den, acc, size):
     """{high: {low: x/den}} over the nonzero numerators x of acc, low being
     the tuple of the first size digits of a code and high that of the next
-    size.  Each distinct half is decoded once per call, and each output key
-    gets one Fraction."""
+    size.  Each distinct half is decoded once per call, and each distinct
+    numerator gives one Fraction, shared by the keys it sits at."""
     split, places = radix**size, [radix**t for t in range(size)]
     lows, rows = {}, {}
+    fracs = {x: Fraction(x, den) for x in set(acc.values()) if x}
     for p, x in acc.items():
         if x:
             hi, lo = divmod(p, split)
             a = lows.get(lo)
             if a is None:
                 a = lows[lo] = tuple([lo // t % radix for t in places])
-            rows.setdefault(hi, {})[a] = Fraction(x, den)
+            rows.setdefault(hi, {})[a] = fracs[x]
     return {tuple([hi // t % radix for t in places]): row for hi, row in rows.items()}
 
 
@@ -343,11 +343,11 @@ class PnEnv(Terms):
 
     @staticmethod
     def one(n):
-        return PnEnv(n, {_zero_mi(2 * n): SPoly.one(n)})
+        return PnEnv(n, {(0,) * (2 * n): SPoly.one(n)})
 
     @staticmethod
     def from_poly(p):
-        return PnEnv(p.n, {_zero_mi(2 * p.n): p})
+        return PnEnv(p.n, {(0,) * (2 * p.n): p})
 
     @staticmethod
     def h_x(n, i):
@@ -372,13 +372,13 @@ class PnEnv(Terms):
     def _lift(self, x):
         if isinstance(x, SCALARS):
             x = SPoly.constant(self.n, x)
-        return PnEnv._make({_zero_mi(2 * x.n): x} if x else {}, x.n) if isinstance(x, SPoly) else NotImplemented
+        return PnEnv._make({(0,) * (2 * x.n): x} if x else {}, x.n) if isinstance(x, SPoly) else NotImplemented
 
     def _mul(self, other):
         return pn_env_mul(self, other)
 
     def p_part(self):
-        return self.terms.get(_zero_mi(2 * self.n), SPoly.zero(self.n))
+        return self.terms.get((0,) * (2 * self.n), SPoly.zero(self.n))
 
     def __repr__(self):
         return f"PnEnv({self.n}, {self.terms!r})"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from freepoisson.checks import moyal_by_derivatives, rho_w_by_derivatives, symmetrize_by_permutations, theta_by_letters
+from freepoisson import symplectic
 from freepoisson.symplectic import (
     _unsymmetrize,
     PnEnv,
@@ -425,3 +426,134 @@ def test_pn_env_mul_matches_the_series_and_the_action_on_polynomials():
             v = PnEnv(n, {rand_exponents(rng, 2 * n, 3): _rand_sp(rng, n, 3, (3, 5)) for _ in range(3)})
             for p in tests:
                 assert _act_pn(pn_env_mul(u, v), p) == _act_pn(u, _act_pn(v, p)), (u, v, p)
+
+
+def _by_pairs(u, v, channels):
+    """The product of u and v, dicts {vector: coefficient}, pair of terms by
+    pair of terms: each channel (i, j, lam) contracts p = a[i] of the left
+    term against q = b[j] of the right, its k <= min(p, q) lowering both by
+    k with the weight lam^k k! C(p,k) C(q,k)."""
+    out = {}
+    for a, c in u.items():
+        for b, d in v.items():
+            items = [(tuple(s + t for s, t in zip(a, b)), c * d)]
+            for i, j, lam in channels:
+                p, q = a[i], b[j]
+                lowered = []
+                for e, x in items:
+                    for k in range(min(p, q) + 1):
+                        e2 = list(e)
+                        e2[i] -= k
+                        e2[j] -= k
+                        lowered.append((tuple(e2), x * lam**k * math.factorial(k) * math.comb(p, k) * math.comb(q, k)))
+                items = lowered
+            for e, x in items:
+                out[e] = out.get(e, 0) + x
+    return {e: x for e, x in out.items() if x}
+
+
+def _kernel_cases(rng, m, i, j):
+    """Pairs of {length-m vector: coefficient}: seeded ones, some with an
+    exponent of 10-12; zero, constant and one-term factors; coefficients
+    with distinct denominators; and a left factor whose constant term lacks
+    the variable at place i that its other term contracts against j."""
+
+    def element(terms, dens):
+        out = {}
+        for _ in range(terms):
+            e = [rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(m)]
+            if rng.random() < 0.4:
+                e[rng.randrange(m)] = rng.randint(10, 12)
+            out[tuple(e)] = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice(dens))
+        return out
+
+    zero = (0,) * m
+    cases = [(element(3, (1, 2, 4)), element(3, (3, 5, 7))) for _ in range(6)]
+    cases += [({}, element(3, (3,))), (element(3, (5,)), {}), (element(1, (3,)), element(1, (5,)))]
+    cases += [({zero: Fraction(-2, 3)}, element(3, (5,))), (element(3, (7,)), {zero: Fraction(7, 2)})]
+    cases.append(({_unit(m, i, 2): Fraction(1, 3), zero: Fraction(1, 5)}, {_unit(m, j, 3): Fraction(2, 7)}))
+    return cases
+
+
+def _pn_env_of(n, w):
+    """The PnEnv whose flat vectors e + g (coefficient exponent, h-index) are w's."""
+    rows = {}
+    for e, c in w.items():
+        rows.setdefault(e[2 * n :], {})[e[: 2 * n]] = c
+    return PnEnv(n, {g: SPoly(n, t) for g, t in rows.items()})
+
+
+def test_the_products_match_the_contraction_pair_by_pair():
+    rng = random.Random(71)
+    half = Fraction(1, 2)
+    for n in (1, 2, 3):
+        x, y, hx, hy = (range(k * n, (k + 1) * n) for k in range(4))
+        products = [
+            (2 * n, [], lambda w: SPoly(n, w), lambda f, g: (f * g).terms),
+            (2 * n, [*zip(x, y, [half] * n), *zip(y, x, [-half] * n)], lambda w: SPoly(n, w), lambda f, g: moyal(f, g).terms),
+            (
+                2 * n,
+                [*zip(y, x, [-1] * n)],
+                lambda w: Weyl(n, {(e[:n], e[n:]): c for e, c in w.items()}),
+                lambda a, b: {al + be: c for (al, be), c in weyl_mul(a, b).terms.items()},
+            ),
+            (
+                4 * n,
+                [*zip(hx, y, [1] * n), *zip(hy, x, [-1] * n)],
+                lambda w: _pn_env_of(n, w),
+                lambda a, b: {e + g: c for g, p in pn_env_mul(a, b).terms.items() for e, c in p.terms.items()},
+            ),
+        ]
+        for m, channels, make, product in products:
+            i, j, _ = channels[0] if channels else (0, 1, 1)
+            for u, v in _kernel_cases(rng, m, i + 1, j + 1):
+                got = product(make(u), make(v))
+                assert got == _by_pairs(u, v, channels), (channels, u, v)
+                assert all(type(c) is Fraction for c in got.values()), (channels, u, v)
+
+
+def test_a_factor_expands_to_no_more_entries_than_the_join_makes_products(monkeypatch):
+    """Each factor's expansion keeps only the gamma that a term of the other
+    factor reaches, so it has no more entries than the join has products,
+    also where one term fires several channels and each term facing it
+    fires one of them."""
+    expansions = []
+
+    def expand(*args):
+        out = expand_all(*args)
+        expansions.append(out[1])
+        return out
+
+    expand_all = symplectic._expand
+    monkeypatch.setattr(symplectic, "_expand", expand)
+
+    def sizes(product, f, g):
+        expansions.clear()
+        product(f, g)
+        left, right = expansions
+        join = sum(len(a) * len(right.get(key, ())) for key, a in left.items())
+        return sum(map(len, left.values())), sum(map(len, right.values())), join
+
+    def powers(n, k):
+        """[x_1^k, y_1^k, .., x_n^k, y_n^k]"""
+        return [g(n, i) ** k for i in range(1, n + 1) for g in (SPoly.x, SPoly.y)]
+
+    k = 300
+    x1, y1 = powers(1, k)
+    assert sizes(moyal, x1 * y1, x1 + y1) == (2 * k + 1, 2 * k + 2, 2 * k + 2)
+    k = 4
+    assert sizes(moyal, math.prod(powers(3, k)), sum(powers(3, k))) == (6 * k + 1, 6 * k + 6, 6 * k + 6)
+    ys = Weyl.Y(3, 1) ** k * Weyl.Y(3, 2) ** k * Weyl.Y(3, 3) ** k
+    xs = Weyl.X(3, 1) ** k + Weyl.X(3, 2) ** k + Weyl.X(3, 3) ** k
+    assert sizes(weyl_mul, ys, xs) == (3 * k + 1, 3 * k + 3, 3 * k + 3)
+    k = 20
+    x1, y1, x2, y2 = powers(2, k)
+    assert sizes(moyal, x1 * x2 + y1 + y2, x1 * x2 + y1 + y2) == (4 * k + 3, 4 * k + 3, 4 * k + 9)
+
+    rng = random.Random(72)
+    products = [(moyal, lambda w: SPoly(2, w), 1, 3), (weyl_mul, lambda w: Weyl(2, {(e[:2], e[2:]): c for e, c in w.items()}), 3, 1)]
+    for product, make, i, j in products:
+        for u, v in _kernel_cases(rng, 4, i, j):
+            if u and v:
+                left, right, join = sizes(product, make(u), make(v))
+                assert left <= join and right <= join, (u, v)
